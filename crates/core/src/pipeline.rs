@@ -57,8 +57,8 @@ pub struct JPortalConfig {
     /// call stack across seams instead of resetting it. Reconstructed
     /// timelines are **identical** with this on or off (the matcher
     /// filter is subsumed by the abstract filter; prefiltered recovery
-    /// candidates still rank exactly as before, they just skip the
-    /// speculative scoring work — see `Recovery::with_summaries`) — only
+    /// candidates still rank exactly as before, they just skip per-candidate
+    /// journaling — see `Recovery::with_summaries`) — only
     /// prune-rate diagnostics, journal decisions and lint precision
     /// change. Off is the ablation baseline.
     pub summaries: bool,
@@ -73,9 +73,8 @@ pub struct JPortalConfig {
     /// `Some(1)` is the exact legacy sequential path (no threads spawned).
     ///
     /// The report is **identical for every setting** — parallel stages
-    /// reassemble their results in deterministic order and recovery's
-    /// parallel candidate scoring replays the sequential pruning decisions
-    /// exactly.
+    /// reassemble their results in deterministic order, and recovery runs
+    /// sequentially within each thread.
     pub parallelism: Option<usize>,
     /// Record telemetry (metrics and spans) during analysis. Designed to
     /// be cheap enough to leave on in production: the hot matcher inner
@@ -269,6 +268,16 @@ pub struct JPortal<'p> {
 /// `(method, bci)` locations, projection seams.
 type HarvestSeg = (Vec<Sym>, Vec<u64>, Vec<u32>);
 
+/// One assembled thread: its report, fill quality, harvested segments
+/// when harvesting, and its anchor-index size when the recovery engine
+/// was built.
+type Assembled = (
+    ThreadReport,
+    ThreadQuality,
+    Option<Vec<HarvestSeg>>,
+    Option<usize>,
+);
+
 /// Stops the sampler thread (and decrements the global profiling
 /// enable-count, so span opens stop pushing frames) when the analyzer
 /// goes away. Dropping mid-analysis is fine — workers only ever see the
@@ -412,8 +421,8 @@ impl<'p> JPortal<'p> {
     /// never idles because "its" thread finished early), then per-thread
     /// assembly — compaction, recovery, entry emission — fans out across
     /// threads. Recovery itself stays sequential over a thread's holes
-    /// (each fill extends the timeline the next hole's ranking reads) but
-    /// parallelizes candidate scoring internally. Results are reassembled
+    /// (each fill extends the timeline the next hole's ranking reads) and
+    /// over each hole's candidates. Results are reassembled
     /// in deterministic order at every join, so the report is identical
     /// for every worker count.
     pub fn analyze(&self, traces: &CollectedTraces, archive: &MetadataArchive) -> JPortalReport {
@@ -579,24 +588,24 @@ impl<'p> JPortal<'p> {
         }
         self.tick_stage();
 
-        // Level 2: per-thread assembly, fanned out across threads. When
-        // the thread fan-out already saturates the workers, recovery's
-        // inner candidate scoring stays sequential to avoid
-        // oversubscription; with few threads the idle workers go to it.
-        let inner_workers = if grouped.len() >= workers { 1 } else { workers };
+        // Level 2: per-thread assembly, fanned out across threads.
         let harvesting = harvest.is_some();
-        let assembled: Vec<(ThreadReport, ThreadQuality, Option<Vec<HarvestSeg>>)> =
-            jportal_par::par_map_owned_metered(
-                workers,
-                grouped,
-                &par_metrics,
-                |_, (thread, views, projection)| {
-                    self.assemble_thread(thread, views, projection, inner_workers, harvesting)
-                },
-            );
+        let assembled: Vec<Assembled> = jportal_par::par_map_owned_metered(
+            workers,
+            grouped,
+            &par_metrics,
+            |_, (thread, views, projection)| {
+                self.assemble_thread(thread, views, projection, harvesting)
+            },
+        );
         let mut threads = Vec::with_capacity(assembled.len());
         let mut quality = QualityReport::default();
-        for (t, q, h) in assembled {
+        let (mut index_builds, mut anchor_inserts) = (0u64, 0u64);
+        for (t, q, h, index) in assembled {
+            if let Some(inserts) = index {
+                index_builds += 1;
+                anchor_inserts += inserts as u64;
+            }
             // Harvest inserts happen here — after the join, in sorted
             // thread order — so the builder's segment order (and the
             // index built from it) is identical at any worker count.
@@ -656,6 +665,9 @@ impl<'p> JPortal<'p> {
                 .add(sum(|t| t.recovery.fallback_walks));
             reg.counter("core.recover.budget_truncations")
                 .add(sum(|t| t.recovery.budget_truncations));
+            reg.counter("core.recover.index_builds").add(index_builds);
+            reg.counter("core.recover.anchor_inserts")
+                .add(anchor_inserts);
             reg.counter("core.corpus.lookups")
                 .add(sum(|t| t.recovery.corpus_lookups));
             reg.counter("core.corpus.candidates")
@@ -706,14 +718,17 @@ impl<'p> JPortal<'p> {
     /// Compacts one thread's projected segments, recovers across lossy
     /// boundaries and emits the final timeline (sequential over holes by
     /// construction: each fill's context feeds the next).
+    ///
+    /// The recovery engine, and with it the anchor and op-position
+    /// indices, is built at the first hole it fills: a thread with no
+    /// holes, or any thread with recovery disabled, never pays for it.
     fn assemble_thread(
         &self,
         thread: ThreadId,
         views: Vec<SegmentView>,
         projection: ProjectionStats,
-        recovery_workers: usize,
         harvest: bool,
-    ) -> (ThreadReport, ThreadQuality, Option<Vec<HarvestSeg>>) {
+    ) -> Assembled {
         let obs = &self.obs;
         let mut recorder = obs.journal_recorder(thread.0);
         let _assemble = obs
@@ -739,18 +754,7 @@ impl<'p> JPortal<'p> {
         // Assemble the timeline, recovering across lossy boundaries.
         let mut recovery_stats = RecoveryStats::default();
         let mut holes = Vec::new();
-        let mut recovery =
-            Recovery::new(self.program, &self.icfg, &compacted, self.config.recovery)
-                .with_workers(recovery_workers)
-                .with_dominators(&self.analysis);
-        if let Some(table) = self.summaries.as_ref() {
-            recovery = recovery.with_summaries(table);
-        }
-        if self.config.corpus {
-            if let Some(corpus) = self.corpus.as_deref() {
-                recovery = recovery.with_corpus(corpus);
-            }
-        }
+        let mut recovery: Option<Recovery<'_>> = None;
         let mut entries: Vec<TraceEntry> = Vec::new();
         let mut steps: Vec<LintStep> = Vec::new();
         let mut fills: Vec<FillQuality> = Vec::new();
@@ -762,6 +766,8 @@ impl<'p> JPortal<'p> {
                 if let Some(loss) = compacted[i].loss_before {
                     holes.push((loss.first_ts, loss.last_ts));
                     if !self.config.disable_recovery {
+                        let recovery =
+                            recovery.get_or_insert_with(|| self.recovery_engine(&compacted));
                         // Parent defaults to the enclosing
                         // `assemble_thread` span via the worker's stack.
                         let _fill = obs
@@ -887,7 +893,23 @@ impl<'p> JPortal<'p> {
             },
             ThreadQuality { thread, fills },
             harvested,
+            recovery.map(|r| r.anchor_inserts()),
         )
+    }
+
+    /// The recovery engine over one thread's compacted segments.
+    fn recovery_engine(&self, compacted: &[SegmentView]) -> Recovery<'_> {
+        let mut recovery = Recovery::new(self.program, &self.icfg, compacted, self.config.recovery)
+            .with_dominators(&self.analysis);
+        if let Some(table) = self.summaries.as_ref() {
+            recovery = recovery.with_summaries(table);
+        }
+        if self.config.corpus {
+            if let Some(corpus) = self.corpus.as_deref() {
+                recovery = recovery.with_corpus(corpus);
+            }
+        }
+        recovery
     }
 }
 

@@ -147,10 +147,9 @@ pub struct RecoveryStats {
     /// against the per-segment op-kind position index), so it can never
     /// be chosen as the fill. Pruned candidates still run through the
     /// search gates and ranking — which keeps the chosen fill identical
-    /// to a run without the prefilter — but skip the parallel path's
-    /// speculative tier scans and all per-candidate journaling. Not
-    /// counted in [`RecoveryStats::candidates`] (nor in the tier-prune
-    /// tallies).
+    /// to a run without the prefilter — but skip all per-candidate
+    /// journaling. Not counted in [`RecoveryStats::candidates`] (nor in
+    /// the tier-prune tallies).
     pub summary_pruned: usize,
     /// Fallback ICFG walks attempted (successful or not); always ≥
     /// [`RecoveryStats::filled_by_walk`].
@@ -481,11 +480,6 @@ impl FillScratch {
     }
 }
 
-/// Below this many candidates the parallel scoring path is pure
-/// overhead: thread spawn plus the speculative (uncapped) suffix work
-/// costs more than the sequential scan saves.
-const PAR_CANDIDATES_MIN: usize = 48;
-
 /// Per-hole cap on individually-journaled candidate events. Busy anchors
 /// can have thousands of candidates; journaling the first few dozen
 /// (always the head of the deterministic consideration order) keeps the
@@ -494,9 +488,8 @@ const PAR_CANDIDATES_MIN: usize = 48;
 const JOURNAL_CANDIDATES_MAX: u32 = 32;
 
 /// Capped per-hole emitter of [`JournalEvent::CandidateConsidered`]
-/// events. Emission happens only in the sequential scan or the
-/// sequential pruning replay — never inside a parallel fan-out — so the
-/// event stream is the same at any worker count.
+/// events. Candidates are scored sequentially in a deterministic order,
+/// so the event stream is the same at any worker count.
 struct CandidateJournal<'r, 'j> {
     rec: Option<&'r mut JournalRecorder<'j>>,
     hole: u32,
@@ -551,8 +544,6 @@ pub struct Recovery<'a> {
     program: &'a Program,
     icfg: &'a Icfg,
     cfg: RecoveryConfig,
-    /// Worker threads for candidate scoring (1 = fully sequential).
-    workers: usize,
     /// Per-method dominator facts for anchor ranking (optional).
     doms: Option<&'a AnalysisIndex>,
     /// Interprocedural method summaries for candidate prefiltering
@@ -591,7 +582,6 @@ impl<'a> Recovery<'a> {
             program,
             icfg,
             cfg,
-            workers: 1,
             doms: None,
             summaries: None,
             corpus: None,
@@ -627,14 +617,20 @@ impl<'a> Recovery<'a> {
         self
     }
 
-    /// Sets the worker count for candidate scoring. The ranking (and the
-    /// statistics) are byte-identical at any worker count: the parallel
-    /// path speculatively computes every candidate's tier suffixes and
-    /// then replays the sequential pruning decisions over the
-    /// pre-computed scores.
-    pub fn with_workers(mut self, workers: usize) -> Recovery<'a> {
-        self.workers = workers.max(1);
+    /// Does nothing: candidate scoring is always sequential. The
+    /// speculative parallel scoring this once enabled made a
+    /// single-thread lossy analysis 2.1x slower with two workers than
+    /// with one on a 2-core machine, because its uncapped suffix scans
+    /// cost more than the capped sequential pruning saves. Kept only so
+    /// existing callers, such as the repository benchmark, still compile.
+    pub fn with_workers(self, _workers: usize) -> Recovery<'a> {
         self
+    }
+
+    /// Entries in the anchor index: one per complete-segment position an
+    /// anchor can end at.
+    pub(crate) fn anchor_inserts(&self) -> usize {
+        self.anchor_index.values().map(Vec::len).sum()
     }
 
     /// Enables the summary prefilter. When present, candidates whose
@@ -645,8 +641,7 @@ impl<'a> Recovery<'a> {
     /// and pruned candidates still flow through Algorithm 4's gates and
     /// ranking unchanged (see [`Recovery::search_abstraction`]), so
     /// reconstructed timelines are identical with the prefilter on or
-    /// off; what pruning buys is the skipped speculative tier scans in
-    /// the parallel path, the journal-noise reduction, and the
+    /// off; what pruning buys is the journal-noise reduction and the
     /// `summary_pruned` diagnostics.
     ///
     /// Method-identity-based pruning (matching the candidate's located
@@ -754,10 +749,7 @@ impl<'a> Recovery<'a> {
     }
 
     /// **Algorithm 3**: naive CS search — full concrete comparison per
-    /// candidate. The per-candidate comparisons are independent, so they
-    /// fan out over the engine's workers; a stable sort over the
-    /// order-preserving result keeps the ranking identical to the
-    /// sequential scan.
+    /// candidate, ranked by a stable sort on the score.
     pub fn search_naive(
         &self,
         is_seg: usize,
@@ -778,14 +770,10 @@ impl<'a> Recovery<'a> {
             return Vec::new();
         }
         let anchor = &is.syms[is.syms.len() - self.cfg.anchor_len..];
-        let cands = self.candidates(is_seg, anchor, ctx);
-        let workers = if cands.len() >= PAR_CANDIDATES_MIN {
-            self.workers
-        } else {
-            1
-        };
-        let mut scored: Vec<((Candidate, bool), usize)> =
-            jportal_par::par_map(workers, &cands, |_, &(cand, dead)| {
+        let mut scored: Vec<((Candidate, bool), usize)> = self
+            .candidates(is_seg, anchor, ctx)
+            .into_iter()
+            .map(|(cand, dead)| {
                 let (si, end) = cand;
                 let m3 = is.tier_suffix(
                     is.syms.len(),
@@ -795,11 +783,11 @@ impl<'a> Recovery<'a> {
                     usize::MAX,
                 );
                 ((cand, dead), m3)
-            });
-        // Journal after the join, in candidate order — the event stream
-        // never depends on worker scheduling. Prefilter-pruned
-        // candidates keep their score (the ranking must be identical
-        // with the prefilter off) but are not journaled individually.
+            })
+            .collect();
+        // Prefilter-pruned candidates keep their score (the ranking must
+        // be identical with the prefilter off) but are not journaled
+        // individually.
         for (rank, &((cand, dead), score)) in scored.iter().enumerate() {
             if dead {
                 stats.summary_pruned += 1;
@@ -814,17 +802,9 @@ impl<'a> Recovery<'a> {
     }
 
     /// **Algorithm 4**: abstraction-guided CS search with tier-1/tier-2
-    /// pruning (Theorem 5.5).
-    ///
-    /// With `workers > 1` and enough candidates, scoring is speculative:
-    /// every candidate's three tier suffixes are computed uncapped in
-    /// parallel, then the sequential pruning decisions are **replayed**
-    /// over the pre-computed scores. The replay reproduces the sequential
-    /// path's capped measurements (`min(suffix, mₗ + 64)`) and running
-    /// maxima exactly, so the ranking and every statistic are
-    /// byte-identical to the sequential scan — the speculative extra work
-    /// is what buys the wall-clock parallelism (cf. Theorem 5.5: a capped
-    /// tier-l measurement only ever prunes candidates that cannot win).
+    /// pruning (Theorem 5.5): each tier-l measurement is capped at
+    /// `mₗ + 64`, since a capped measurement only ever prunes candidates
+    /// that cannot win.
     pub fn search_abstraction(
         &self,
         is_seg: usize,
@@ -837,11 +817,8 @@ impl<'a> Recovery<'a> {
     /// same gates, maxima updates and ranking as live ones — the ranked
     /// list (and therefore the chosen fill) is identical with the
     /// prefilter on or off by construction, not by a theorem about what
-    /// pruning may drop. What they skip: the speculative *uncapped*
-    /// tier-1/tier-2 suffix scans of the parallel path (their capped
-    /// values are computed lazily during the sequential replay, which
-    /// yields bit-identical measurements) and all per-candidate journal
-    /// events; they are tallied as [`RecoveryStats::summary_pruned`]
+    /// pruning may drop. What they skip is every per-candidate journal
+    /// event; they are tallied as [`RecoveryStats::summary_pruned`]
     /// instead of [`RecoveryStats::candidates`].
     fn search_abstraction_journaled(
         &self,
@@ -856,88 +833,6 @@ impl<'a> Recovery<'a> {
         }
         let anchor = &is.syms[is.syms.len() - self.cfg.anchor_len..];
         let cands = self.candidates(is_seg, anchor, ctx);
-
-        if self.workers > 1 && cands.len() >= PAR_CANDIDATES_MIN {
-            // Speculative parallel scoring: uncapped suffixes for live
-            // candidates; pruned ones only need the concrete tier.
-            let scores: Vec<(usize, usize, usize)> =
-                jportal_par::par_map(self.workers, &cands, |_, &((si, end), dead)| {
-                    let cs = &self.indexed[si];
-                    let s3 = is.tier_suffix(is.syms.len(), cs, end + 1, Tier::Concrete, usize::MAX);
-                    if dead {
-                        (0, 0, s3)
-                    } else {
-                        (
-                            is.tier_suffix(
-                                is.syms.len(),
-                                cs,
-                                end + 1,
-                                Tier::CallStructure,
-                                usize::MAX,
-                            ),
-                            is.tier_suffix(is.syms.len(), cs, end + 1, Tier::Control, usize::MAX),
-                            s3,
-                        )
-                    }
-                });
-            // Sequential replay of the pruning decisions. The journal
-            // emits here (not in the fan-out above): the replay reproduces
-            // the sequential path's capped measurements exactly, so the
-            // events are identical to the sequential scan's.
-            let mut best: Vec<(Candidate, usize)> = Vec::new();
-            let (mut m1, mut m2, mut m3) = (0usize, 0usize, 0usize);
-            for (rank, (&(cand, dead), &(s1, s2, s3))) in cands.iter().zip(&scores).enumerate() {
-                let (si, end) = cand;
-                let cs = &self.indexed[si];
-                if dead {
-                    stats.summary_pruned += 1;
-                } else {
-                    stats.candidates += 1;
-                }
-                let full = self.cfg.top_n > best.len();
-                // Dead candidates skipped the speculative tier-1/tier-2
-                // scans; measure their capped suffixes here so the gate
-                // decisions (and the maxima they feed) match the
-                // prefilter-off run bit for bit.
-                let ml1 = if dead {
-                    is.tier_suffix(is.syms.len(), cs, end + 1, Tier::CallStructure, m1 + 64)
-                } else {
-                    s1.min(m1 + 64)
-                };
-                if !full && ml1 < m1 {
-                    if !dead {
-                        stats.pruned_tier1 += 1;
-                        journal.consider(rank as u32, cand, CandidateOutcome::PrunedTier1, ml1);
-                    }
-                    continue;
-                }
-                let ml2 = if dead {
-                    is.tier_suffix(is.syms.len(), cs, end + 1, Tier::Control, m2 + 64)
-                } else {
-                    s2.min(m2 + 64)
-                };
-                if !full && ml2 < m2 {
-                    if !dead {
-                        stats.pruned_tier2 += 1;
-                        journal.consider(rank as u32, cand, CandidateOutcome::PrunedTier2, ml2);
-                    }
-                    continue;
-                }
-                let ml3 = s3;
-                if ml3 >= m3 {
-                    m3 = ml3;
-                    m1 = ml1;
-                    m2 = ml2;
-                }
-                if !dead {
-                    journal.consider(rank as u32, cand, CandidateOutcome::Scored, ml3);
-                }
-                best.push((cand, ml3));
-                best.sort_by_key(|&(_, score)| std::cmp::Reverse(score));
-                best.truncate(self.cfg.top_n);
-            }
-            return best;
-        }
 
         let mut best: Vec<(Candidate, usize)> = Vec::new();
         // Running maxima ⟨m1, m2, m3⟩ of Algorithm 4; pruning compares

@@ -128,18 +128,18 @@ pub fn segregate_with_stats(
     (per_thread, stats)
 }
 
+/// The thread whose interval `[start, end)` holds `ts`; packets after the
+/// last interval belong to its thread, packets in a gap to none.
+///
+/// `intervals` is [`schedule_intervals`] output: disjoint, in time order,
+/// ends non-decreasing. So the first interval ending after `ts` is the
+/// only one that can hold it, and a binary search finds it.
 fn owner_at(intervals: &[(ThreadId, u64, u64)], ts: u64) -> Option<ThreadId> {
-    intervals
-        .iter()
-        .find(|&&(_, start, end)| start <= ts && ts < end)
-        .map(|&(t, _, _)| t)
-        // Packets after the last recorded interval belong to its thread.
-        .or_else(|| {
-            intervals
-                .last()
-                .filter(|&&(_, _, end)| ts >= end)
-                .map(|&(t, _, _)| t)
-        })
+    let i = intervals.partition_point(|&(_, _, end)| end <= ts);
+    match intervals.get(i) {
+        Some(&(t, start, _)) => (start <= ts).then_some(t),
+        None => intervals.last().map(|&(t, _, _)| t),
+    }
 }
 
 #[cfg(test)]
@@ -147,7 +147,9 @@ mod tests {
     use super::*;
     use jportal_bytecode::builder::ProgramBuilder;
     use jportal_bytecode::{CmpKind, Instruction as I};
+    use jportal_ipt::SidebandRecord;
     use jportal_jvm::runtime::{Jvm, JvmConfig, ThreadSpec};
+    use proptest::prelude::*;
 
     fn loopy() -> jportal_bytecode::Program {
         let mut pb = ProgramBuilder::new();
@@ -268,13 +270,73 @@ mod tests {
         );
     }
 
+    /// The linear scan `owner_at` replaced: the first interval holding
+    /// `ts`, else the last interval's thread for packets after its end.
+    fn owner_at_linear(intervals: &[(ThreadId, u64, u64)], ts: u64) -> Option<ThreadId> {
+        intervals
+            .iter()
+            .find(|&&(_, start, end)| start <= ts && ts < end)
+            .map(|&(t, _, _)| t)
+            .or_else(|| {
+                intervals
+                    .last()
+                    .filter(|&&(_, _, end)| ts >= end)
+                    .map(|&(t, _, _)| t)
+            })
+    }
+
     #[test]
     fn owner_lookup_semantics() {
         let iv = vec![(ThreadId(1), 10, 20), (ThreadId(2), 20, 30)];
-        assert_eq!(owner_at(&iv, 5), None);
-        assert_eq!(owner_at(&iv, 10), Some(ThreadId(1)));
-        assert_eq!(owner_at(&iv, 19), Some(ThreadId(1)));
-        assert_eq!(owner_at(&iv, 20), Some(ThreadId(2)));
-        assert_eq!(owner_at(&iv, 99), Some(ThreadId(2)), "tail belongs to last");
+        for (ts, want) in [
+            (5, None),
+            (10, Some(ThreadId(1))),
+            (19, Some(ThreadId(1))),
+            (20, Some(ThreadId(2))),
+            (99, Some(ThreadId(2))), // the tail belongs to the last thread
+        ] {
+            assert_eq!(owner_at(&iv, ts), want, "ts {ts}");
+            assert_eq!(owner_at_linear(&iv, ts), want, "oracle, ts {ts}");
+        }
+        assert_eq!(owner_at(&[], 7), None);
+    }
+
+    fn arb_switch() -> impl Strategy<Value = SidebandRecord> {
+        prop_oneof![
+            (0u32..2, 0u32..4, 0u64..40).prop_map(|(core, t, ts)| SidebandRecord::SwitchIn {
+                core,
+                thread: ThreadId(t),
+                ts,
+            }),
+            (0u32..2, 0u32..4, 0u64..40).prop_map(|(core, t, ts)| SidebandRecord::SwitchOut {
+                core,
+                thread: ThreadId(t),
+                ts,
+            }),
+        ]
+    }
+
+    proptest! {
+        /// The binary-search lookup agrees with the linear oracle on real
+        /// `schedule_intervals` output (duplicate timestamps, zero-length
+        /// intervals, gaps from out-records) at every interval boundary,
+        /// one tick either side of it, before the first interval and
+        /// after the last.
+        #[test]
+        fn owner_at_matches_linear_oracle(
+            records in prop::collection::vec(arb_switch(), 0..40),
+            end_of_time in 0u64..48,
+        ) {
+            let iv = schedule_intervals(&records, 0, end_of_time);
+            let mut probes = vec![0, u64::MAX];
+            for &(_, start, end) in &iv {
+                for b in [start, end] {
+                    probes.extend([b.saturating_sub(1), b, b + 1]);
+                }
+            }
+            for ts in probes {
+                prop_assert_eq!(owner_at(&iv, ts), owner_at_linear(&iv, ts), "ts {} in {:?}", ts, iv);
+            }
+        }
     }
 }

@@ -50,6 +50,19 @@ fn workload() -> Program {
 }
 
 fn lossy_run(p: &Program, threads: usize) -> RunResult {
+    run(
+        p,
+        threads,
+        JvmConfig {
+            pt_buffer_capacity: 640,
+            drain_bytes_per_kilocycle: 6,
+            ..JvmConfig::default()
+        },
+    )
+}
+
+/// `threads` copies of the entry point on two cores, interpreted only.
+fn run(p: &Program, threads: usize, config: JvmConfig) -> RunResult {
     let entry = p.entry();
     let specs: Vec<ThreadSpec> = (0..threads)
         .map(|_| ThreadSpec {
@@ -59,11 +72,9 @@ fn lossy_run(p: &Program, threads: usize) -> RunResult {
         .collect();
     Jvm::new(JvmConfig {
         cores: 2,
-        pt_buffer_capacity: 640,
-        drain_bytes_per_kilocycle: 6,
         c1_threshold: u64::MAX,
         c2_threshold: u64::MAX,
-        ..JvmConfig::default()
+        ..config
     })
     .run_threads(p, &specs)
 }
@@ -204,4 +215,47 @@ fn disabled_observability_records_nothing_and_changes_nothing() {
     assert!(t.metrics.histograms.is_empty());
     let (lit, _) = analyze_with(&p, &r, None);
     assert_eq!(dark, lit, "observability must never change the report");
+}
+
+/// `core.recover.index_builds` and `core.recover.anchor_inserts`.
+fn index_work(t: &TelemetryReport) -> (Option<u64>, Option<u64>) {
+    (
+        t.metrics.counter("core.recover.index_builds"),
+        t.metrics.counter("core.recover.anchor_inserts"),
+    )
+}
+
+/// The recovery index is built at a thread's first hole: a hole-free run
+/// builds none, and a lossy run builds one per thread with holes,
+/// identically at every worker count.
+#[test]
+fn recovery_index_is_built_only_for_threads_with_holes() {
+    let p = workload();
+    let clean = run(&p, 3, JvmConfig::default());
+    assert!(clean
+        .traces
+        .as_ref()
+        .unwrap()
+        .per_core
+        .iter()
+        .all(|t| t.losses.is_empty()));
+    let (report, tel) = analyze_with(&p, &clean, None);
+    assert_eq!(report.threads.len(), 3);
+    assert_eq!(index_work(&tel), (Some(0), Some(0)));
+
+    let lossy = lossy_run(&p, 2);
+    let (report, tel) = analyze_with(&p, &lossy, Some(1));
+    let with_holes = report
+        .threads
+        .iter()
+        .filter(|t| t.recovery.holes > 0)
+        .count() as u64;
+    let (builds, inserts) = index_work(&tel);
+    assert!(with_holes > 0);
+    assert_eq!(builds, Some(with_holes));
+    assert!(inserts > Some(0));
+    for parallelism in [Some(2), None] {
+        let (_, tel) = analyze_with(&p, &lossy, parallelism);
+        assert_eq!(index_work(&tel), (builds, inserts), "{parallelism:?}");
+    }
 }

@@ -79,7 +79,12 @@ impl SidebandRecord {
 
 /// Extracts, for one core, the time-ordered intervals during which each
 /// thread ran: `(thread, start_ts, end_ts)`. An interval still open at the
-/// end of the records is closed at `end_of_time`.
+/// end of the records is closed at `end_of_time`, or at its own start if
+/// the records run past `end_of_time`.
+///
+/// The output is sorted and disjoint: `start <= end` for every interval
+/// and each start is at or after the previous end, so the ends are
+/// non-decreasing and a lookup may binary-search them.
 pub fn schedule_intervals(
     records: &[SidebandRecord],
     core: u32,
@@ -97,21 +102,17 @@ pub fn schedule_intervals(
                 }
                 open = Some((thread, ts));
             }
-            SidebandRecord::SwitchOut { thread, ts, .. } => {
+            // A mismatched out-record still closes what was open.
+            SidebandRecord::SwitchOut { ts, .. } => {
                 if let Some((t, start)) = open.take() {
-                    if t == thread {
-                        out.push((t, start, ts));
-                    } else {
-                        // Mismatched out-record: close what was open.
-                        out.push((t, start, ts));
-                    }
+                    out.push((t, start, ts));
                 }
             }
             SidebandRecord::AuxLost { .. } => {}
         }
     }
     if let Some((t, start)) = open {
-        out.push((t, start, end_of_time));
+        out.push((t, start, end_of_time.max(start)));
     }
     out
 }

@@ -4,7 +4,11 @@ use proptest::prelude::*;
 
 use jportal_ipt::lastip::LastIp;
 use jportal_ipt::packet::{decode_one, Packet, TntBits};
-use jportal_ipt::{decode_packets, EncoderConfig, HwEvent, IpCompression, PtEncoder, RingBuffer};
+use jportal_ipt::sideband::schedule_intervals;
+use jportal_ipt::{
+    decode_packets, EncoderConfig, HwEvent, IpCompression, LossRecord, PtEncoder, RingBuffer,
+    SidebandRecord, ThreadId,
+};
 
 fn arb_packet() -> impl Strategy<Value = Packet> {
     prop_oneof![
@@ -24,6 +28,34 @@ fn arb_packet() -> impl Strategy<Value = Packet> {
             ip,
         }),
         (0u64..(1 << 56)).prop_map(|tsc| Packet::Tsc { tsc }),
+    ]
+}
+
+/// Sideband over three cores and four threads with timestamps drawn from
+/// a narrow range, so duplicate timestamps, out-records for a thread that
+/// is not running, and loss records interleave with the switches.
+fn arb_sideband_record() -> impl Strategy<Value = SidebandRecord> {
+    prop_oneof![
+        (0u32..3, 0u32..4, 0u64..48).prop_map(|(core, t, ts)| SidebandRecord::SwitchIn {
+            core,
+            thread: ThreadId(t),
+            ts,
+        }),
+        (0u32..3, 0u32..4, 0u64..48).prop_map(|(core, t, ts)| SidebandRecord::SwitchOut {
+            core,
+            thread: ThreadId(t),
+            ts,
+        }),
+        (0u32..3, 0u64..48).prop_map(|(core, ts)| SidebandRecord::AuxLost {
+            core,
+            loss: LossRecord {
+                stream_offset: 0,
+                first_ts: ts,
+                last_ts: ts + 3,
+                lost_bytes: 16,
+                lost_packets: 2,
+            },
+        }),
     ]
 }
 
@@ -130,6 +162,27 @@ proptest! {
             if let Packet::Tip { ip, .. } = tp.packet {
                 prop_assert!(targets.contains(&ip), "resolved TIP {ip:#x} was never emitted");
             }
+        }
+    }
+
+    /// `schedule_intervals` output is sorted and disjoint for any
+    /// sideband, including an end of time before the last switch: every
+    /// interval has `start <= end`, ends never decrease, and each start is
+    /// at or after the previous end. Segregation's owner lookup
+    /// binary-searches the ends and relies on exactly this.
+    #[test]
+    fn schedule_intervals_are_sorted_and_disjoint(
+        records in prop::collection::vec(arb_sideband_record(), 0..60),
+        core in 0u32..3,
+        end_of_time in 0u64..64,
+    ) {
+        let iv = schedule_intervals(&records, core, end_of_time);
+        for &(_, start, end) in &iv {
+            prop_assert!(start <= end, "inverted interval in {iv:?}");
+        }
+        for w in iv.windows(2) {
+            prop_assert!(w[0].2 <= w[1].2, "ends decrease in {iv:?}");
+            prop_assert!(w[1].1 >= w[0].2, "overlap in {iv:?}");
         }
     }
 }
