@@ -69,6 +69,7 @@
 use crate::interproc::SummaryTable;
 use jportal_bytecode::{Bci, MethodId, OpKind, Program};
 use jportal_cfg::{BranchDir, EdgeKind, Icfg, NodeId};
+use jportal_obs::MetricClass;
 use std::fmt;
 
 /// One event of the sequence under lint.
@@ -297,11 +298,10 @@ pub fn lint_steps_observed(
         .arg("steps", steps.len())
         .record_sketch(&obs.registry().sketch("analysis.lint.wall_us"));
     let diagnostics = lint_steps_summarized(program, icfg, steps, summaries);
-    obs.registry()
-        .counter("analysis.lint.steps")
+    let reg = obs.registry();
+    reg.counter("analysis.lint.steps", MetricClass::Exact)
         .add(steps.len() as u64);
-    obs.registry()
-        .counter("analysis.lint.diagnostics")
+    reg.counter("analysis.lint.diagnostics", MetricClass::Exact)
         .add(diagnostics.len() as u64);
     diagnostics
 }

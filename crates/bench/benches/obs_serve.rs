@@ -28,7 +28,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use jportal_core::{JPortal, JPortalConfig};
 use jportal_jvm::runtime::{Jvm, JvmConfig};
 use jportal_obs::{
-    http_get, prometheus_text, Obs, TelemetryConfig, TelemetryPlane, TelemetryServer,
+    http_get, prometheus_text, MetricClass, Obs, TelemetryConfig, TelemetryPlane, TelemetryServer,
 };
 use jportal_workloads::workload_by_name;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -300,9 +300,10 @@ fn write_obs_report(n: &ObsNumbers, reps: usize) {
 fn bench_plane(c: &mut Criterion) {
     let obs = Obs::new(true);
     // A registry the size of a real run's.
+    let (reg, exact) = (obs.registry(), MetricClass::Exact);
     for i in 0..24 {
-        obs.registry().counter(&format!("bench.counter{i}")).add(i);
-        obs.registry().gauge(&format!("bench.gauge{i}")).set(i);
+        reg.counter(&format!("bench.counter{i}"), exact).add(i);
+        reg.gauge(&format!("bench.gauge{i}"), exact).set(i);
     }
     let s = obs.registry().sketch("bench.lat_us");
     for v in 0..4096u64 {

@@ -14,7 +14,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::{Arc, RwLock};
 
 use jportal_bytecode::{OpKind, Program};
-use jportal_obs::{ContentionCounter, Counter, MetricsRegistry};
+use jportal_obs::{ContentionCounter, Counter, MetricClass, MetricsRegistry};
 
 use crate::fx::{FxHashMap, FxHasher};
 use crate::icfg::{Icfg, NodeId};
@@ -230,7 +230,10 @@ impl<'a> AbstractNfa<'a> {
     /// lock-contention accounting over the striped caches and the
     /// state-set interner as `lock.cfg.dfa_cache.*`. With a disabled
     /// registry the counters are no-ops (and
-    /// [`AbstractNfa::dfa_stats`] reads zero).
+    /// [`AbstractNfa::dfa_stats`] reads zero). The hit/miss split depends
+    /// on worker interleaving (two workers can both miss on a key one is
+    /// about to fill), so both counters are
+    /// [`MetricClass::Scheduling`].
     pub fn with_metrics(
         program: &'a Program,
         icfg: &'a Icfg,
@@ -239,8 +242,8 @@ impl<'a> AbstractNfa<'a> {
         AbstractNfa::with_counters(
             program,
             icfg,
-            registry.counter("cfg.dfa.hits"),
-            registry.counter("cfg.dfa.misses"),
+            registry.counter("cfg.dfa.hits", MetricClass::Scheduling),
+            registry.counter("cfg.dfa.misses", MetricClass::Scheduling),
             ContentionCounter::register(registry, "lock.cfg.dfa_cache"),
         )
     }

@@ -18,7 +18,8 @@ use jportal_corpus::{Corpus, CorpusBuilder};
 use jportal_ipt::{CollectedTraces, CollectionStats, ThreadId};
 use jportal_jvm::MetadataArchive;
 use jportal_obs::{
-    JournalEvent, Obs, ProfileConfig, Profiler, TelemetryConfig, TelemetryPlane, TelemetryReport,
+    JournalEvent, MetricClass, Obs, ProfileConfig, Profiler, TelemetryConfig, TelemetryPlane,
+    TelemetryReport,
 };
 use std::cell::RefCell;
 
@@ -475,7 +476,7 @@ impl<'p> JPortal<'p> {
         }
 
         let (per_thread, decode_stats) = {
-            let _segregate = obs.span("collect", "segregate").arg("workers", workers);
+            let _segregate = obs.span("collect", "segregate");
             segregate_with_stats(traces, workers)
         };
         let mut thread_pieces: Vec<(ThreadId, Vec<ThreadPiece>)> = per_thread.into_iter().collect();
@@ -485,9 +486,10 @@ impl<'p> JPortal<'p> {
         // identical at every parallelism setting.
         if obs.is_enabled() {
             let reg = obs.registry();
-            reg.counter("ipt.decode.resync_bytes")
+            reg.counter("ipt.decode.resync_bytes", MetricClass::Exact)
                 .add(decode_stats.resync_bytes);
-            reg.counter("ipt.decode.packets").add(decode_stats.packets);
+            reg.counter("ipt.decode.packets", MetricClass::Exact)
+                .add(decode_stats.packets);
         }
         self.tick_stage();
 
@@ -506,13 +508,17 @@ impl<'p> JPortal<'p> {
         }
         let decode_sketch = obs.registry().sketch("core.decode.wall_us");
         let project_sketch = obs.registry().sketch("core.project.wall_us");
-        let arena_hw = obs.registry().gauge("core.project.scratch_arena_hw");
+        // Per-worker scratch: its high water depends on which pieces
+        // each worker claimed.
+        let arena_hw = obs
+            .registry()
+            .gauge("core.project.scratch_arena_hw", MetricClass::Scheduling);
         // Both fan-outs share one queue gauge and collect-lock counter:
         // the pipeline never runs two fan-outs concurrently, so the
         // gauge always describes the active one.
         let par_metrics = jportal_par::ParMetrics::register(obs.registry());
         let projected: Vec<(SegmentView, ProjectionStats)> =
-            jportal_par::par_map_metered(workers, &work, &par_metrics, |_, &(ti, pi)| {
+            jportal_par::par_map(workers, &work, &par_metrics, |_, &(ti, pi)| {
                 let piece = &thread_pieces[ti].1[pi];
                 // `piece.segment` carries its capture core from the
                 // per-core drain path, so the decoded segment is already
@@ -590,7 +596,7 @@ impl<'p> JPortal<'p> {
 
         // Level 2: per-thread assembly, fanned out across threads.
         let harvesting = harvest.is_some();
-        let assembled: Vec<Assembled> = jportal_par::par_map_owned_metered(
+        let assembled: Vec<Assembled> = jportal_par::par_map_owned(
             workers,
             grouped,
             &par_metrics,
@@ -620,75 +626,39 @@ impl<'p> JPortal<'p> {
 
         // Per-stage totals are summed *after* the joins, from the
         // deterministically merged per-thread statistics, rather than
-        // bumped inside workers — so these counters are part of the
-        // determinism contract (unlike the scheduling-dependent
-        // `cfg.dfa.*` cache counters, which record inline).
+        // bumped inside workers — so these counters register as
+        // `MetricClass::Exact`, part of the determinism contract
+        // (unlike the `cfg.dfa.*` cache counters, which record inline).
         if obs.is_enabled() {
             let reg = obs.registry();
-            let sum = |f: fn(&ThreadReport) -> usize| -> u64 {
+            let sum = |f: &dyn Fn(&ThreadReport) -> usize| -> u64 {
                 threads.iter().map(|t| f(t) as u64).sum()
             };
-            reg.counter("core.threads").add(threads.len() as u64);
-            reg.counter("core.segments").add(sum(|t| t.segments));
-            reg.counter("core.entries").add(sum(|t| t.entries.len()));
-            reg.counter("core.project.matched")
-                .add(sum(|t| t.projection.matched));
-            reg.counter("core.project.unmatched")
-                .add(sum(|t| t.projection.unmatched));
-            reg.counter("core.project.restarts")
-                .add(sum(|t| t.projection.restarts));
-            reg.counter("core.project.candidates_tried")
-                .add(sum(|t| t.projection.candidates_tried));
-            reg.counter("core.project.candidates_pruned")
-                .add(sum(|t| t.projection.candidates_pruned));
-            reg.counter("core.project.summary_pruned")
-                .add(sum(|t| t.projection.summary_pruned));
-            reg.counter("core.recover.holes")
-                .add(sum(|t| t.recovery.holes));
-            reg.counter("core.recover.filled_from_cs")
-                .add(sum(|t| t.recovery.filled_from_cs));
-            reg.counter("core.recover.filled_by_walk")
-                .add(sum(|t| t.recovery.filled_by_walk));
-            reg.counter("core.recover.unfilled")
-                .add(sum(|t| t.recovery.unfilled));
-            reg.counter("core.recover.recovered_events")
-                .add(sum(|t| t.recovery.recovered_events));
-            reg.counter("core.recover.candidates")
-                .add(sum(|t| t.recovery.candidates));
-            reg.counter("core.recover.pruned_tier1")
-                .add(sum(|t| t.recovery.pruned_tier1));
-            reg.counter("core.recover.pruned_tier2")
-                .add(sum(|t| t.recovery.pruned_tier2));
-            reg.counter("core.recover.summary_pruned")
-                .add(sum(|t| t.recovery.summary_pruned));
-            reg.counter("core.recover.fallback_walks")
-                .add(sum(|t| t.recovery.fallback_walks));
-            reg.counter("core.recover.budget_truncations")
-                .add(sum(|t| t.recovery.budget_truncations));
-            reg.counter("core.recover.index_builds").add(index_builds);
-            reg.counter("core.recover.anchor_inserts")
-                .add(anchor_inserts);
-            reg.counter("core.corpus.lookups")
-                .add(sum(|t| t.recovery.corpus_lookups));
-            reg.counter("core.corpus.candidates")
-                .add(sum(|t| t.recovery.corpus_candidates));
-            reg.counter("core.corpus.hits")
-                .add(sum(|t| t.recovery.corpus_hits));
-            reg.counter("core.corpus.misses")
-                .add(sum(|t| t.recovery.corpus_misses));
+            let exact = |name: &str, total: u64| reg.counter(name, MetricClass::Exact).add(total);
+            exact("core.threads", threads.len() as u64);
+            exact("core.segments", sum(&|t| t.segments));
+            exact("core.entries", sum(&|t| t.entries.len()));
+            for &(name, field) in ProjectionStats::COUNTERS {
+                exact(name, sum(&|t| field(&t.projection)));
+            }
+            for &(name, field) in RecoveryStats::COUNTERS {
+                exact(name, sum(&|t| field(&t.recovery)));
+            }
+            exact("core.recover.index_builds", index_builds);
+            exact("core.recover.anchor_inserts", anchor_inserts);
             if let Some(corpus) = self.corpus.as_deref() {
-                reg.gauge("core.corpus.segments")
+                reg.gauge("core.corpus.segments", MetricClass::Exact)
                     .set_max(corpus.segment_count() as u64);
             }
             if let Some(builder) = harvest.as_ref() {
                 // Builder lifetime totals (may span several analyses):
                 // gauges, not counters, so re-recording never inflates.
-                reg.gauge("core.corpus.harvest_inserted")
+                reg.gauge("core.corpus.harvest_inserted", MetricClass::Exact)
                     .set_max(builder.inserted());
-                reg.gauge("core.corpus.harvest_deduped")
+                reg.gauge("core.corpus.harvest_deduped", MetricClass::Exact)
                     .set_max(builder.deduped());
             }
-            reg.gauge("cfg.dfa.interned")
+            reg.gauge("cfg.dfa.interned", MetricClass::Scheduling)
                 .set_max(anfa.dfa_stats().interned);
         }
 
@@ -827,8 +797,10 @@ impl<'p> JPortal<'p> {
             }
         }
 
+        // Scheduling-dependent: the gauge is the max over whichever
+        // threads each worker assembled.
         obs.registry()
-            .gauge("core.recover.fill_scratch_hw")
+            .gauge("core.recover.fill_scratch_hw", MetricClass::Scheduling)
             .set_max(fill_scratch.high_water() as u64);
 
         let lint = if self.config.lint {

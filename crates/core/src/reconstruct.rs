@@ -48,6 +48,10 @@ impl Default for ProjectionConfig {
     }
 }
 
+/// A statistics struct's `(counter name, field)` table: the fields the
+/// pipeline mirrors into its telemetry registry.
+pub(crate) type StatsCounters<S> = [(&'static str, fn(&S) -> usize)];
+
 /// Statistics from projecting one segment.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProjectionStats {
@@ -78,6 +82,19 @@ pub struct ProjectionStats {
 }
 
 impl ProjectionStats {
+    /// The fields the pipeline mirrors into its telemetry registry, as
+    /// `(counter name, field)`: summed over threads after the joins,
+    /// so every entry is an exact metric. `dfa_runs` and
+    /// `frontier_width_max` reach only the decision journal.
+    pub(crate) const COUNTERS: &'static StatsCounters<ProjectionStats> = &[
+        ("core.project.matched", |s| s.matched),
+        ("core.project.unmatched", |s| s.unmatched),
+        ("core.project.restarts", |s| s.restarts),
+        ("core.project.candidates_tried", |s| s.candidates_tried),
+        ("core.project.candidates_pruned", |s| s.candidates_pruned),
+        ("core.project.summary_pruned", |s| s.summary_pruned),
+    ];
+
     /// Folds another segment's statistics into this one.
     ///
     /// Addition is commutative and associative, so any reduction order —

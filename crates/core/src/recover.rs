@@ -26,6 +26,7 @@ use jportal_obs::{CandidateOutcome, Journal, JournalEvent, JournalRecorder};
 use std::collections::VecDeque;
 
 use crate::decode::BcEvent;
+use crate::reconstruct::StatsCounters;
 
 /// Where a reconstructed trace entry came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,6 +176,27 @@ pub struct RecoveryStats {
 }
 
 impl RecoveryStats {
+    /// The fields the pipeline mirrors into its telemetry registry, as
+    /// `(counter name, field)`: summed over threads after the joins,
+    /// so every entry is an exact metric.
+    pub(crate) const COUNTERS: &'static StatsCounters<RecoveryStats> = &[
+        ("core.recover.holes", |s| s.holes),
+        ("core.recover.filled_from_cs", |s| s.filled_from_cs),
+        ("core.recover.filled_by_walk", |s| s.filled_by_walk),
+        ("core.recover.unfilled", |s| s.unfilled),
+        ("core.recover.recovered_events", |s| s.recovered_events),
+        ("core.recover.candidates", |s| s.candidates),
+        ("core.recover.pruned_tier1", |s| s.pruned_tier1),
+        ("core.recover.pruned_tier2", |s| s.pruned_tier2),
+        ("core.recover.summary_pruned", |s| s.summary_pruned),
+        ("core.recover.fallback_walks", |s| s.fallback_walks),
+        ("core.recover.budget_truncations", |s| s.budget_truncations),
+        ("core.corpus.lookups", |s| s.corpus_lookups),
+        ("core.corpus.candidates", |s| s.corpus_candidates),
+        ("core.corpus.hits", |s| s.corpus_hits),
+        ("core.corpus.misses", |s| s.corpus_misses),
+    ];
+
     /// Folds another run's statistics into this one (commutative and
     /// associative, so parallel tree reduction equals sequential sums).
     pub fn merge(&mut self, other: &RecoveryStats) {

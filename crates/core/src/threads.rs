@@ -16,6 +16,7 @@ use jportal_ipt::{
     decode_packets_into, segment_stream, CollectedTraces, DecodeScratch, DecodeStats, RawSegment,
     ThreadId,
 };
+use jportal_par::ParMetrics;
 use std::cell::RefCell;
 use std::collections::HashMap;
 
@@ -59,7 +60,7 @@ pub fn segregate_with_stats(
     }
     let cores: Vec<usize> = (0..collected.per_core.len()).collect();
     let per_core: Vec<(Vec<(ThreadId, ThreadPiece)>, DecodeStats)> =
-        jportal_par::par_map(workers, &cores, |_, &core_idx| {
+        jportal_par::par_map(workers, &cores, &ParMetrics::noop(), |_, &core_idx| {
             let core = core_idx as u32;
             let trace = &collected.per_core[core_idx];
             let intervals = schedule_intervals(&collected.sideband, core, collected.end_ts);

@@ -3,6 +3,7 @@
 //! (a lost-update or double-count in a merge shows up here immediately).
 
 use jportal_core::{ProjectionStats, RecoveryStats};
+use jportal_par::ParMetrics;
 
 /// Deterministic pseudo-random stream (SplitMix64) for filling fields.
 struct Rng(u64);
@@ -59,7 +60,7 @@ fn random_recovery(rng: &mut Rng) -> RecoveryStats {
 fn tree_reduce_projection(items: &[ProjectionStats], workers: usize) -> ProjectionStats {
     let chunks: Vec<&[ProjectionStats]> =
         items.chunks(items.len().div_ceil(workers).max(1)).collect();
-    let partials = jportal_par::par_map(workers, &chunks, |_, chunk| {
+    let partials = jportal_par::par_map(workers, &chunks, &ParMetrics::noop(), |_, chunk| {
         let mut acc = ProjectionStats::default();
         for s in *chunk {
             acc.merge(s);
@@ -76,7 +77,7 @@ fn tree_reduce_projection(items: &[ProjectionStats], workers: usize) -> Projecti
 fn tree_reduce_recovery(items: &[RecoveryStats], workers: usize) -> RecoveryStats {
     let chunks: Vec<&[RecoveryStats]> =
         items.chunks(items.len().div_ceil(workers).max(1)).collect();
-    let partials = jportal_par::par_map(workers, &chunks, |_, chunk| {
+    let partials = jportal_par::par_map(workers, &chunks, &ParMetrics::noop(), |_, chunk| {
         let mut acc = RecoveryStats::default();
         for s in *chunk {
             acc.merge(s);

@@ -1,16 +1,16 @@
 //! Telemetry determinism: the *structure* of what the pipeline records —
-//! counter values and the span tree — must be identical whether the
-//! analysis runs sequentially or fanned out, exactly like the report
-//! itself. Timing (histograms, span durations) and the two documented
-//! scheduling-dependent families (`cfg.dfa.*` cache counters, scratch
-//! high-water gauges) are excluded; everything else is part of the
-//! contract because it is aggregated after the deterministic joins.
+//! exact counter and gauge values and the span tree — must be identical
+//! whether the analysis runs sequentially or fanned out, exactly like
+//! the report itself. Metrics are selected by the class they were
+//! registered with: `Scheduling` and `Wall` metrics (and span
+//! durations) are free to differ; every `Exact` one is part of the
+//! contract.
 
 use jportal_bytecode::builder::ProgramBuilder;
 use jportal_bytecode::{CmpKind, Instruction as I, Program};
 use jportal_core::{JPortal, JPortalConfig, JPortalReport};
 use jportal_jvm::runtime::{Jvm, JvmConfig, RunResult, ThreadSpec};
-use jportal_obs::TelemetryReport;
+use jportal_obs::{MetricClass, TelemetryReport};
 
 /// A branchy two-method loop, long enough that a small PT buffer with a
 /// slow exporter drops data on every thread (so recovery, hole spans and
@@ -95,14 +95,13 @@ fn analyze_with(
     (report, jp.telemetry())
 }
 
-/// Counters minus the documented scheduling-dependent `cfg.dfa.*`
-/// family (two workers can both miss on a key one is about to fill).
-fn deterministic_counters(t: &TelemetryReport) -> Vec<(String, u64)> {
+/// Every counter and gauge registered as [`MetricClass::Exact`], under
+/// its series name.
+fn exact_metrics(t: &TelemetryReport) -> Vec<(String, u64)> {
     t.metrics
-        .counters
-        .iter()
-        .filter(|(name, _)| !name.starts_with("cfg.dfa."))
-        .cloned()
+        .series_readings()
+        .filter(|(_, r)| r.class == MetricClass::Exact)
+        .map(|(name, r)| (name, r.value))
         .collect()
 }
 
@@ -130,25 +129,31 @@ fn counters_and_span_tree_match_across_parallelism() {
     );
 
     let (report_seq, tel_seq) = analyze_with(&p, &r, Some(1));
-    let (report_par, tel_par) = analyze_with(&p, &r, None);
+    let (report_par, tel_par) = analyze_with(&p, &r, Some(4));
 
     assert_eq!(report_seq, report_par, "report determinism contract");
+    let exact = exact_metrics(&tel_seq);
     assert_eq!(
-        deterministic_counters(&tel_seq),
-        deterministic_counters(&tel_par),
-        "every non-dfa counter must be identical at any worker count"
+        exact,
+        exact_metrics(&tel_par),
+        "every exact counter and gauge must be identical at any worker count"
     );
+    assert!(exact.iter().any(|(n, _)| n == "counter.core.recover.holes"));
     assert_eq!(
         span_structure(&tel_seq),
         span_structure(&tel_par),
         "span categories, names, parents and args must be identical"
     );
 
-    // The excluded family must still exist in both (same names, values
-    // free to differ).
+    // Scheduling-dependent metrics still exist in both (same names,
+    // values free to differ), classified at registration.
     for t in [&tel_seq, &tel_par] {
-        assert!(t.metrics.counter("cfg.dfa.hits").is_some());
-        assert!(t.metrics.counter("cfg.dfa.misses").is_some());
+        for series in ["counter.cfg.dfa.hits", "counter.cfg.dfa.misses"] {
+            assert_eq!(
+                t.metrics.series_class(series),
+                Some(MetricClass::Scheduling)
+            );
+        }
     }
 
     // Spot checks: recovery actually ran and was counted, and the span
@@ -212,7 +217,7 @@ fn disabled_observability_records_nothing_and_changes_nothing() {
     assert!(t.spans.is_empty());
     assert!(t.metrics.counters.is_empty());
     assert!(t.metrics.gauges.is_empty());
-    assert!(t.metrics.histograms.is_empty());
+    assert!(t.metrics.sketches.is_empty());
     let (lit, _) = analyze_with(&p, &r, None);
     assert_eq!(dark, lit, "observability must never change the report");
 }

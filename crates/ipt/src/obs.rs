@@ -9,7 +9,7 @@
 //! attached to the offline report and recorded into a metric registry.
 
 use crate::session::CollectedTraces;
-use jportal_obs::{ArgValue, MetricsRegistry, Obs};
+use jportal_obs::{ArgValue, MetricClass, MetricsRegistry, Obs};
 
 /// Collection summary for one core.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -95,37 +95,27 @@ impl CollectionStats {
     }
 
     /// Records the summary into `registry` under `ipt.*` names: totals
-    /// as counters, per-core values and drain rates as gauges.
+    /// as counters, per-core values and drain rates as gauges. All are
+    /// pure functions of the collected traces, so all are exact.
     pub fn record_into(&self, registry: &MetricsRegistry) {
-        registry
-            .counter("ipt.lost_bytes")
-            .add(self.total_lost_bytes());
-        registry
-            .counter("ipt.lost_packets")
-            .add(self.total_lost_packets());
-        registry
-            .counter("ipt.exported_bytes")
-            .add(self.total_exported_bytes());
-        registry
-            .counter("ipt.loss_spans")
-            .add(self.per_core.iter().map(|c| c.loss_spans as u64).sum());
+        let counter = |name: &str, v: u64| registry.counter(name, MetricClass::Exact).add(v);
+        let gauge = |name: String, v: u64| registry.gauge(&name, MetricClass::Exact).set(v);
+        counter("ipt.lost_bytes", self.total_lost_bytes());
+        counter("ipt.lost_packets", self.total_lost_packets());
+        counter("ipt.exported_bytes", self.total_exported_bytes());
+        counter(
+            "ipt.loss_spans",
+            self.per_core.iter().map(|c| c.loss_spans as u64).sum(),
+        );
         for c in &self.per_core {
             let core = c.core;
-            registry
-                .gauge(&format!("ipt.core{core}.exported_bytes"))
-                .set(c.exported_bytes);
-            registry
-                .gauge(&format!("ipt.core{core}.lost_bytes"))
-                .set(c.lost_bytes);
-            registry
-                .gauge(&format!("ipt.core{core}.lost_packets"))
-                .set(c.lost_packets);
+            gauge(format!("ipt.core{core}.exported_bytes"), c.exported_bytes);
+            gauge(format!("ipt.core{core}.lost_bytes"), c.lost_bytes);
+            gauge(format!("ipt.core{core}.lost_packets"), c.lost_packets);
             // Effective exporter throughput: bytes drained per kilocycle
             // of session time (the knob JvmConfig tunes, measured).
             if let Some(rate) = (c.exported_bytes * 1000).checked_div(self.end_ts) {
-                registry
-                    .gauge(&format!("ipt.core{core}.drain_bytes_per_kilocycle"))
-                    .set(rate);
+                gauge(format!("ipt.core{core}.drain_bytes_per_kilocycle"), rate);
             }
         }
     }

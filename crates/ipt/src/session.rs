@@ -7,7 +7,7 @@
 
 use crate::encoder::{EncoderConfig, PtEncoder, PtTrace};
 use crate::sideband::{SidebandRecord, ThreadId};
-use jportal_obs::{ContentionCounter, Gauge, TelemetryPlane};
+use jportal_obs::{ContentionCounter, Gauge, MetricClass, TelemetryPlane};
 use std::sync::Arc;
 
 /// Identifier of a simulated CPU core.
@@ -84,11 +84,12 @@ impl PtSession {
     /// sim-time tick. Without a plane the drain path is untouched.
     pub fn set_telemetry(&mut self, plane: Arc<TelemetryPlane>) {
         let reg = plane.obs().registry();
+        let exact = MetricClass::Exact;
         let gauges = (0..self.cores.len())
             .map(|i| CoreGauges {
-                pending: reg.gauge(&format!("ipt.core{i}.ring_pending_bytes")),
-                written: reg.gauge(&format!("ipt.core{i}.ring_written_bytes")),
-                lost: reg.gauge(&format!("ipt.core{i}.ring_lost_bytes")),
+                pending: reg.gauge(&format!("ipt.core{i}.ring_pending_bytes"), exact),
+                written: reg.gauge(&format!("ipt.core{i}.ring_written_bytes"), exact),
+                lost: reg.gauge(&format!("ipt.core{i}.ring_lost_bytes"), exact),
             })
             .collect();
         // The plane's producer mutex lives behind `tick_sim`; from the

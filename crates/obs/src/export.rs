@@ -10,14 +10,14 @@
 use std::collections::BTreeSet;
 
 use crate::json::write_escaped;
-use crate::metrics::MetricsSnapshot;
+use crate::metrics::{MetricsSnapshot, Reading};
 use crate::span::{ArgValue, SpanEvent};
 
 /// Everything one observed run produced: a metrics snapshot plus the
 /// merged span list.
 #[derive(Debug, Clone, Default)]
 pub struct TelemetryReport {
-    /// Counters, gauges and histograms, sorted by name.
+    /// Counters, gauges and sketches, sorted by name.
     pub metrics: MetricsSnapshot,
     /// Spans, deterministically merged (see `SpanCollector::snapshot`).
     pub spans: Vec<SpanEvent>,
@@ -93,17 +93,16 @@ impl TelemetryReport {
         metrics_snapshot_json(&self.metrics)
     }
 
-    /// A human-readable summary: counters, gauges, histogram quantiles
-    /// and a per-category span rollup.
+    /// A human-readable summary: counters, gauges, sketch quantiles and
+    /// a per-category span rollup.
     pub fn summary_table(&self) -> String {
         let mut out = String::new();
         let width = self
             .metrics
             .counters
             .iter()
-            .map(|(n, _)| n.len())
-            .chain(self.metrics.gauges.iter().map(|(n, _)| n.len()))
-            .chain(self.metrics.histograms.iter().map(|h| h.name.len()))
+            .chain(&self.metrics.gauges)
+            .map(|r| r.name.len())
             .chain(self.metrics.sketches.iter().map(|s| s.name.len()))
             .chain(self.span_categories().iter().map(|c| c.len()))
             .max()
@@ -117,7 +116,7 @@ impl TelemetryReport {
             // over summed numerator/denominator, never an average of
             // per-shard rates.
             let candidates = self.metrics.counter("core.recover.candidates");
-            for (name, v) in &self.metrics.counters {
+            for Reading { name, value: v, .. } in &self.metrics.counters {
                 match (name.as_str(), candidates) {
                     ("core.recover.pruned_tier1" | "core.recover.pruned_tier2", Some(c))
                         if c > 0 =>
@@ -135,21 +134,8 @@ impl TelemetryReport {
         }
         if !self.metrics.gauges.is_empty() {
             out.push_str("gauges\n");
-            for (name, v) in &self.metrics.gauges {
+            for Reading { name, value: v, .. } in &self.metrics.gauges {
                 out.push_str(&format!("  {name:<width$}  {v:>12}\n"));
-            }
-        }
-        if !self.metrics.histograms.is_empty() {
-            out.push_str("histograms (count / sum / ~p50 / ~p99)\n");
-            for h in &self.metrics.histograms {
-                out.push_str(&format!(
-                    "  {:<width$}  {:>8} {:>12} {:>10} {:>10}\n",
-                    h.name,
-                    h.count,
-                    h.sum,
-                    h.quantile(0.5),
-                    h.quantile(0.99)
-                ));
             }
         }
         if !self.metrics.sketches.is_empty() {
@@ -185,8 +171,7 @@ impl TelemetryReport {
 }
 
 /// Flat metrics JSON from a bare snapshot: `{"counters": {..}, "gauges":
-/// {..}, "histograms": {name: {count, sum, p50, p99, buckets: [[upper,
-/// n], ..]}}, "sketches": {name: {count, sum, min, max, p50, p90, p99,
+/// {..}, "sketches": {name: {count, sum, min, max, p50, p90, p99,
 /// buckets: [[index, n], ..]}}}`, all keys sorted. Always valid per the
 /// strict `obs::json` validator.
 pub fn metrics_snapshot_json(metrics: &MetricsSnapshot) -> String {
@@ -215,7 +200,7 @@ pub fn metrics_snapshot_json_with_profile(
 
 fn metrics_snapshot_json_inner(metrics: &MetricsSnapshot) -> String {
     let mut out = String::from("{\"counters\":{");
-    for (i, (name, v)) in metrics.counters.iter().enumerate() {
+    for (i, Reading { name, value: v, .. }) in metrics.counters.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -223,33 +208,12 @@ fn metrics_snapshot_json_inner(metrics: &MetricsSnapshot) -> String {
         out.push_str(&format!(":{v}"));
     }
     out.push_str("},\"gauges\":{");
-    for (i, (name, v)) in metrics.gauges.iter().enumerate() {
+    for (i, Reading { name, value: v, .. }) in metrics.gauges.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         write_escaped(&mut out, name);
         out.push_str(&format!(":{v}"));
-    }
-    out.push_str("},\"histograms\":{");
-    for (i, h) in metrics.histograms.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_escaped(&mut out, &h.name);
-        out.push_str(&format!(
-            ":{{\"count\":{},\"sum\":{},\"p50\":{},\"p99\":{},\"buckets\":[",
-            h.count,
-            h.sum,
-            h.quantile(0.5),
-            h.quantile(0.99)
-        ));
-        for (j, (upper, n)) in h.buckets.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("[{upper},{n}]"));
-        }
-        out.push_str("]}");
     }
     out.push_str("},\"sketches\":{");
     for (i, s) in metrics.sketches.iter().enumerate() {
@@ -308,41 +272,23 @@ fn prometheus_help(out: &mut String, text: &str) {
 }
 
 /// Prometheus text exposition (version 0.0.4) of a metrics snapshot:
-/// counters and gauges as-is, histograms as cumulative `_bucket{le=..}`
-/// families, sketches as summaries with `quantile` labels. HELP lines
-/// carry the original dotted metric name.
+/// counters and gauges as-is, sketches as summaries with `quantile`
+/// labels. HELP lines carry the original dotted metric name.
 pub fn prometheus_text(metrics: &MetricsSnapshot) -> String {
     let mut out = String::with_capacity(256);
-    for (name, v) in &metrics.counters {
+    for Reading { name, value: v, .. } in &metrics.counters {
         let p = prometheus_name(name);
         out.push_str(&format!("# HELP {p} "));
         prometheus_help(&mut out, name);
         out.push('\n');
         out.push_str(&format!("# TYPE {p} counter\n{p} {v}\n"));
     }
-    for (name, v) in &metrics.gauges {
+    for Reading { name, value: v, .. } in &metrics.gauges {
         let p = prometheus_name(name);
         out.push_str(&format!("# HELP {p} "));
         prometheus_help(&mut out, name);
         out.push('\n');
         out.push_str(&format!("# TYPE {p} gauge\n{p} {v}\n"));
-    }
-    for h in &metrics.histograms {
-        let p = prometheus_name(&h.name);
-        out.push_str(&format!("# HELP {p} "));
-        prometheus_help(&mut out, &h.name);
-        out.push('\n');
-        out.push_str(&format!("# TYPE {p} histogram\n"));
-        let mut cum = 0u64;
-        for &(upper, n) in &h.buckets {
-            cum += n;
-            if upper == u64::MAX {
-                continue; // folded into +Inf below
-            }
-            out.push_str(&format!("{p}_bucket{{le=\"{upper}\"}} {cum}\n"));
-        }
-        out.push_str(&format!("{p}_bucket{{le=\"+Inf\"}} {}\n", h.count));
-        out.push_str(&format!("{p}_sum {}\n{p}_count {}\n", h.sum, h.count));
     }
     for s in &metrics.sketches {
         let p = prometheus_name(&s.name);
@@ -362,15 +308,13 @@ pub fn prometheus_text(metrics: &MetricsSnapshot) -> String {
 mod tests {
     use super::*;
     use crate::json::validate;
+    use crate::MetricClass::Exact;
     use crate::MetricsRegistry;
 
     fn sample_report() -> TelemetryReport {
         let reg = MetricsRegistry::new(true);
-        reg.counter("a.count").add(7);
-        reg.gauge("b.high_water").set_max(42);
-        let h = reg.histogram("c.wall_us");
-        h.record(3);
-        h.record(900);
+        reg.counter("a.count", Exact).add(7);
+        reg.gauge("b.high_water", Exact).set_max(42);
         let s = reg.sketch("d.lat_us");
         s.record(40);
         s.record(4000);
@@ -438,9 +382,7 @@ mod tests {
         assert!(text.contains("# TYPE jportal_a_count counter"));
         assert!(text.contains("jportal_a_count 7"));
         assert!(text.contains("# TYPE jportal_b_high_water gauge"));
-        assert!(text.contains("# TYPE jportal_c_wall_us histogram"));
-        assert!(text.contains("jportal_c_wall_us_bucket{le=\"+Inf\"} 2"));
-        assert!(text.contains("jportal_c_wall_us_count 2"));
+        assert!(text.contains("jportal_d_lat_us_count 2"));
         assert!(text.contains("# TYPE jportal_d_lat_us summary"));
         assert!(text.contains("jportal_d_lat_us{quantile=\"0.99\"}"));
         // HELP carries the dotted original name.
@@ -454,7 +396,7 @@ mod tests {
         let t = r.summary_table();
         assert!(t.contains("a.count"));
         assert!(t.contains("b.high_water"));
-        assert!(t.contains("c.wall_us"));
+        assert!(t.contains("d.lat_us"));
         assert!(t.contains("decode"));
         assert!(t.contains("collect"));
     }
@@ -462,9 +404,9 @@ mod tests {
     #[test]
     fn summary_table_shows_prune_rates_over_candidates() {
         let reg = MetricsRegistry::new(true);
-        reg.counter("core.recover.candidates").add(200);
-        reg.counter("core.recover.pruned_tier1").add(150);
-        reg.counter("core.recover.pruned_tier2").add(30);
+        reg.counter("core.recover.candidates", Exact).add(200);
+        reg.counter("core.recover.pruned_tier1", Exact).add(150);
+        reg.counter("core.recover.pruned_tier2", Exact).add(30);
         let r = TelemetryReport {
             metrics: reg.snapshot(),
             spans: Vec::new(),
@@ -474,7 +416,7 @@ mod tests {
         assert!(t.contains("15.0% of candidates"), "tier-2 rate:\n{t}");
         // Without the denominator the raw count renders unannotated.
         let reg2 = MetricsRegistry::new(true);
-        reg2.counter("core.recover.pruned_tier1").add(150);
+        reg2.counter("core.recover.pruned_tier1", Exact).add(150);
         let t2 = TelemetryReport {
             metrics: reg2.snapshot(),
             spans: Vec::new(),

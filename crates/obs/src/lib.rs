@@ -5,8 +5,10 @@
 //! shim philosophy (no external dependencies anywhere):
 //!
 //! * a [`MetricsRegistry`] of sharded atomic counters, gauges and
-//!   fixed-bucket histograms, cheap enough to stay enabled in
-//!   production;
+//!   quantile sketches, cheap enough to stay enabled in production.
+//!   Every counter and gauge carries a [`MetricClass`] — `Exact`
+//!   (identical at any worker count), `Scheduling` or `Wall` — so the
+//!   determinism contract is selected by class, never by name;
 //! * scoped spans ([`span!`] / [`Obs::span`]) recording wall time and
 //!   logical parent/child structure into per-worker buffers that merge
 //!   deterministically;
@@ -22,10 +24,10 @@
 //! # Examples
 //!
 //! ```
-//! use jportal_obs::{span, Obs};
+//! use jportal_obs::{span, MetricClass, Obs};
 //!
 //! let obs = Obs::new(true);
-//! let segments = obs.registry().counter("pipeline.segments");
+//! let segments = obs.registry().counter("pipeline.segments", MetricClass::Exact);
 //! {
 //!     let _s = span!(obs, "decode", "segment", core = 0u32);
 //!     segments.incr();
@@ -55,7 +57,7 @@ pub use journal::{
     CandidateOutcome, Journal, JournalEvent, JournalKey, JournalRecord, JournalRecorder,
     JournalSnapshot,
 };
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{Counter, Gauge, MetricClass, MetricsRegistry, MetricsSnapshot, Reading};
 pub use plane::{PlaneSnapshot, TelemetryConfig, TelemetryPlane};
 pub use profile::{ContentionCounter, ProfileConfig, ProfileSnapshot, Profiler, PROFILE_MAX_DEPTH};
 pub use series::{Series, SeriesPoint, SeriesStore};
@@ -219,11 +221,12 @@ macro_rules! span {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use MetricClass::Exact;
 
     #[test]
     fn enabled_handle_records_spans_and_metrics() {
         let obs = Obs::new(true);
-        obs.registry().counter("c").add(2);
+        obs.registry().counter("c", Exact).add(2);
         {
             let _s = span!(obs, "decode", "piece", idx = 1usize);
         }
@@ -245,7 +248,7 @@ mod tests {
     #[test]
     fn disabled_handle_records_nothing() {
         let obs = Obs::disabled();
-        obs.registry().counter("c").add(2);
+        obs.registry().counter("c", Exact).add(2);
         {
             let _s = span!(obs, "decode", "piece", idx = 1usize);
         }
@@ -274,7 +277,7 @@ mod tests {
     fn clones_share_state() {
         let obs = Obs::new(true);
         let other = obs.clone();
-        other.registry().counter("shared").incr();
+        other.registry().counter("shared", Exact).incr();
         assert_eq!(obs.telemetry().metrics.counter("shared"), Some(1));
     }
 }

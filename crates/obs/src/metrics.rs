@@ -1,13 +1,19 @@
 //! The metric registry: sharded atomic counters, set/max gauges and
-//! fixed-bucket power-of-two histograms.
+//! quantile sketches.
 //!
 //! Handles are cheap `Arc` clones registered by name; updating one is a
 //! relaxed atomic on a thread-striped shard (counters) or a single atomic
-//! (gauges, histogram buckets), so instruments can stay on in production.
+//! (gauges, sketch buckets), so instruments can stay on in production.
 //! A registry built disabled hands out **no-op handles**: the update fast
 //! path is then a single branch on an `Option` discriminant — no
 //! allocation, no atomic access — which is what lets the pipeline keep
 //! `record` calls unconditionally inline on hot paths.
+//!
+//! Every counter and gauge is registered with its [`MetricClass`], and
+//! snapshots carry it: the determinism contract (identical values at any
+//! worker count) covers exactly the [`MetricClass::Exact`] metrics, so
+//! tests and consumers select them by class, never by name. Sketches
+//! record µs durations and are [`MetricClass::Wall`] by construction.
 //!
 //! Snapshots iterate a `BTreeMap`, so exported metrics are always sorted
 //! by name regardless of registration or update order.
@@ -166,165 +172,60 @@ impl std::fmt::Debug for Gauge {
     }
 }
 
-/// Number of histogram buckets: bucket `i` counts values whose bit
-/// length is `i` (i.e. `v == 0` lands in bucket 0, `v ∈ [2^(i-1), 2^i)`
-/// in bucket `i`), clamped into the last bucket.
-pub const HISTOGRAM_BUCKETS: usize = 32;
-
-/// Backing cells of one histogram.
-#[derive(Default)]
-pub(crate) struct HistogramCells {
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
+/// Determinism class of a counter or gauge, fixed at registration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum MetricClass {
+    /// A pure function of the input: identical at every worker count
+    /// (summed after the deterministic joins, or recorded on the
+    /// collection side before the offline phases run).
+    Exact,
+    /// Depends on how workers interleave: lock acquisitions and
+    /// contention, cache hit/miss splits, queue depth at a scrape,
+    /// high-water marks of per-worker scratch.
+    Scheduling,
+    /// Measures wall time. Every sketch is `Wall`.
+    Wall,
 }
 
-/// Bucket index of a value (its bit length, clamped).
-fn bucket_of(v: u64) -> usize {
-    ((u64::BITS - v.leading_zeros()) as usize).min(HISTOGRAM_BUCKETS - 1)
-}
-
-/// Inclusive upper bound of a bucket (`u64::MAX` for the overflow
-/// bucket).
-fn bucket_upper(i: usize) -> u64 {
-    if i >= HISTOGRAM_BUCKETS - 1 {
-        u64::MAX
-    } else {
-        (1u64 << i) - 1
-    }
-}
-
-/// A fixed-bucket histogram over `u64` values (power-of-two bounds).
-#[derive(Clone, Default)]
-pub struct Histogram(Option<Arc<HistogramCells>>);
-
-impl Histogram {
-    /// A handle that ignores every update.
-    pub fn noop() -> Histogram {
-        Histogram(None)
-    }
-
-    /// Records one observation.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        if let Some(cells) = &self.0 {
-            cells.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-            cells.count.fetch_add(1, Ordering::Relaxed);
-            cells.sum.fetch_add(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.0
-            .as_ref()
-            .map(|c| c.count.load(Ordering::Relaxed))
-            .unwrap_or(0)
-    }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> u64 {
-        self.0
-            .as_ref()
-            .map(|c| c.sum.load(Ordering::Relaxed))
-            .unwrap_or(0)
-    }
-}
-
-impl std::fmt::Debug for Histogram {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Histogram")
-            .field("count", &self.count())
-            .field("sum", &self.sum())
-            .finish()
-    }
-}
-
-/// Point-in-time reading of one histogram.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct HistogramSnapshot {
+/// One counter or gauge in a snapshot.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Reading {
     /// Metric name.
     pub name: String,
-    /// Number of observations.
-    pub count: u64,
-    /// Sum of observations.
-    pub sum: u64,
-    /// Non-empty buckets as `(inclusive upper bound, count)`.
-    pub buckets: Vec<(u64, u64)>,
+    /// The class the metric was registered with.
+    pub class: MetricClass,
+    /// Counter total or gauge value.
+    pub value: u64,
 }
 
-/// Inclusive lower bound of the bucket with this inclusive upper bound
-/// (buckets are power-of-two ranges: upper `2^i - 1` pairs with lower
-/// `2^(i-1)`; the overflow bucket starts where the last finite one ends).
-fn bucket_lower(upper: u64) -> u64 {
-    match upper {
-        0 => 0,
-        u64::MAX => 1u64 << (HISTOGRAM_BUCKETS - 2),
-        u => u.div_ceil(2),
-    }
-}
-
-impl HistogramSnapshot {
-    /// Approximate quantile (`0.0..=1.0`), linearly interpolated within
-    /// the bucket where the cumulative count crosses `q * count`
-    /// (assuming mass is uniform inside the bucket). Reporting the
-    /// bucket's power-of-two upper bound instead would overestimate by
-    /// up to 2×.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (q * self.count as f64).ceil().max(1.0) as u64;
-        let mut cum = 0u64;
-        for &(upper, n) in &self.buckets {
-            if cum + n >= target {
-                let lower = bucket_lower(upper);
-                let inside = (target - cum) as f64; // 1..=n within this bucket
-                let width = (upper - lower) as f64;
-                return lower + (width * (inside - 0.5) / n as f64).round() as u64;
-            }
-            cum += n;
-        }
-        self.buckets.last().map(|&(u, _)| u).unwrap_or(0)
-    }
+/// Binary search of a name-sorted reading list.
+fn find<'s>(readings: &'s [Reading], name: &str) -> Option<&'s Reading> {
+    readings
+        .binary_search_by(|r| r.name.as_str().cmp(name))
+        .ok()
+        .map(|i| &readings[i])
 }
 
 /// Point-in-time reading of a whole registry, sorted by metric name.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
-    /// `(name, total)` pairs, sorted by name.
-    pub counters: Vec<(String, u64)>,
-    /// `(name, value)` pairs, sorted by name.
-    pub gauges: Vec<(String, u64)>,
-    /// Histograms, sorted by name.
-    pub histograms: Vec<HistogramSnapshot>,
-    /// Quantile sketches, sorted by name.
+    /// Counters, sorted by name.
+    pub counters: Vec<Reading>,
+    /// Gauges, sorted by name.
+    pub gauges: Vec<Reading>,
+    /// Quantile sketches, sorted by name (all [`MetricClass::Wall`]).
     pub sketches: Vec<SketchSnapshot>,
 }
 
 impl MetricsSnapshot {
     /// The counter with this exact name, if present.
     pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters
-            .binary_search_by(|(n, _)| n.as_str().cmp(name))
-            .ok()
-            .map(|i| self.counters[i].1)
+        find(&self.counters, name).map(|r| r.value)
     }
 
     /// The gauge with this exact name, if present.
     pub fn gauge(&self, name: &str) -> Option<u64> {
-        self.gauges
-            .binary_search_by(|(n, _)| n.as_str().cmp(name))
-            .ok()
-            .map(|i| self.gauges[i].1)
-    }
-
-    /// The histogram with this exact name, if present.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms
-            .binary_search_by(|h| h.name.as_str().cmp(name))
-            .ok()
-            .map(|i| &self.histograms[i])
+        find(&self.gauges, name).map(|r| r.value)
     }
 
     /// The sketch with this exact name, if present.
@@ -334,35 +235,71 @@ impl MetricsSnapshot {
             .ok()
             .map(|i| &self.sketches[i])
     }
+
+    /// Every counter and gauge under its series name: `counter.<name>`
+    /// or `gauge.<name>`, so a counter and a gauge sharing a base name
+    /// never collide.
+    pub fn series_readings(&self) -> impl Iterator<Item = (String, &Reading)> {
+        let counters = self
+            .counters
+            .iter()
+            .map(|r| (format!("counter.{}", r.name), r));
+        counters.chain(self.gauges.iter().map(|r| (format!("gauge.{}", r.name), r)))
+    }
+
+    /// The class of the counter or gauge behind a series name
+    /// (`counter.<name>` / `gauge.<name>`).
+    pub fn series_class(&self, series: &str) -> Option<MetricClass> {
+        let found = match series.strip_prefix("counter.") {
+            Some(name) => find(&self.counters, name),
+            None => find(&self.gauges, series.strip_prefix("gauge.")?),
+        };
+        found.map(|r| r.class)
+    }
 }
+
+/// Registered cells keyed by name, each with its class.
+type Classified<T> = BTreeMap<String, (MetricClass, Arc<T>)>;
 
 #[derive(Default)]
 struct RegistryInner {
-    counters: BTreeMap<String, Arc<CounterCells>>,
-    gauges: BTreeMap<String, Arc<AtomicU64>>,
-    histograms: BTreeMap<String, Arc<HistogramCells>>,
+    counters: Classified<CounterCells>,
+    gauges: Classified<AtomicU64>,
     sketches: BTreeMap<String, Arc<SketchCells>>,
+}
+
+/// Readings of a classified map, sorted by name.
+fn readings<T>(map: &Classified<T>, read: impl Fn(&T) -> u64) -> Vec<Reading> {
+    map.iter()
+        .map(|(name, (class, cells))| Reading {
+            name: name.clone(),
+            class: *class,
+            value: read(cells),
+        })
+        .collect()
 }
 
 /// A named collection of instruments.
 ///
-/// Registration (`counter`/`gauge`/`histogram`) takes a short lock and
-/// is get-or-create by name; callers hold the returned handles, so hot
-/// paths never touch the registry itself. A registry constructed
-/// disabled registers nothing and hands out no-op handles.
+/// Registration (`counter`/`gauge`/`sketch`) takes a short lock and is
+/// get-or-create by name; callers hold the returned handles, so hot
+/// paths never touch the registry itself. Counters and gauges name
+/// their [`MetricClass`]; asking for an existing name under a different
+/// class panics. A registry constructed disabled registers nothing and
+/// hands out no-op handles.
 ///
 /// # Examples
 ///
 /// ```
-/// use jportal_obs::MetricsRegistry;
+/// use jportal_obs::{MetricClass, MetricsRegistry};
 ///
 /// let reg = MetricsRegistry::new(true);
-/// let c = reg.counter("pipeline.segments");
+/// let c = reg.counter("pipeline.segments", MetricClass::Exact);
 /// c.add(3);
 /// assert_eq!(reg.snapshot().counter("pipeline.segments"), Some(3));
 ///
 /// let off = MetricsRegistry::new(false);
-/// off.counter("ignored").add(1);
+/// off.counter("ignored", MetricClass::Exact).add(1);
 /// assert!(off.snapshot().counters.is_empty());
 /// ```
 #[derive(Debug)]
@@ -376,7 +313,6 @@ impl std::fmt::Debug for RegistryInner {
         f.debug_struct("RegistryInner")
             .field("counters", &self.counters.len())
             .field("gauges", &self.gauges.len())
-            .field("histograms", &self.histograms.len())
             .field("sketches", &self.sketches.len())
             .finish()
     }
@@ -396,43 +332,67 @@ impl MetricsRegistry {
         self.enabled
     }
 
-    /// Get-or-create the counter with this name.
-    pub fn counter(&self, name: &str) -> Counter {
+    /// The registration lock. Class conflicts panic only after it is
+    /// released, so poisoning means a bug inside the registry itself.
+    fn lock(&self) -> std::sync::MutexGuard<'_, RegistryInner> {
+        self.inner.lock().expect("metrics registry lock poisoned")
+    }
+
+    /// Get-or-create `name` in the map `pick` selects, panicking if it
+    /// exists under a class other than `class`.
+    fn classified<T: Default>(
+        &self,
+        pick: impl FnOnce(&mut RegistryInner) -> &mut Classified<T>,
+        kind: &str,
+        name: &str,
+        class: MetricClass,
+    ) -> Arc<T> {
+        let (have, cells) = {
+            let mut inner = self.lock();
+            let (have, cells) = pick(&mut inner)
+                .entry(name.to_string())
+                .or_insert_with(|| (class, Arc::default()));
+            (*have, Arc::clone(cells))
+        };
+        assert_eq!(
+            have, class,
+            "{kind} {name:?} is registered as {have:?}, requested as {class:?}"
+        );
+        cells
+    }
+
+    /// Get-or-create the counter with this name and class.
+    ///
+    /// # Panics
+    ///
+    /// If `name` is already a counter of another class.
+    pub fn counter(&self, name: &str, class: MetricClass) -> Counter {
         if !self.enabled {
             return Counter::noop();
         }
-        let mut inner = self.inner.lock().unwrap();
-        let cells = inner
-            .counters
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(CounterCells::default()));
-        Counter(Some(Arc::clone(cells)))
+        Counter(Some(self.classified(
+            |i| &mut i.counters,
+            "counter",
+            name,
+            class,
+        )))
     }
 
-    /// Get-or-create the gauge with this name.
-    pub fn gauge(&self, name: &str) -> Gauge {
+    /// Get-or-create the gauge with this name and class.
+    ///
+    /// # Panics
+    ///
+    /// If `name` is already a gauge of another class.
+    pub fn gauge(&self, name: &str, class: MetricClass) -> Gauge {
         if !self.enabled {
             return Gauge::noop();
         }
-        let mut inner = self.inner.lock().unwrap();
-        let cell = inner
-            .gauges
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(AtomicU64::new(0)));
-        Gauge(Some(Arc::clone(cell)))
-    }
-
-    /// Get-or-create the histogram with this name.
-    pub fn histogram(&self, name: &str) -> Histogram {
-        if !self.enabled {
-            return Histogram::noop();
-        }
-        let mut inner = self.inner.lock().unwrap();
-        let cells = inner
-            .histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(HistogramCells::default()));
-        Histogram(Some(Arc::clone(cells)))
+        Gauge(Some(self.classified(
+            |i| &mut i.gauges,
+            "gauge",
+            name,
+            class,
+        )))
     }
 
     /// Get-or-create the quantile sketch with this name.
@@ -440,7 +400,7 @@ impl MetricsRegistry {
         if !self.enabled {
             return Sketch::noop();
         }
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         let cells = inner
             .sketches
             .entry(name.to_string())
@@ -450,36 +410,10 @@ impl MetricsRegistry {
 
     /// Reads every instrument, sorted by name.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.lock();
         MetricsSnapshot {
-            counters: inner
-                .counters
-                .iter()
-                .map(|(n, c)| (n.clone(), c.sum()))
-                .collect(),
-            gauges: inner
-                .gauges
-                .iter()
-                .map(|(n, g)| (n.clone(), g.load(Ordering::Relaxed)))
-                .collect(),
-            histograms: inner
-                .histograms
-                .iter()
-                .map(|(n, h)| HistogramSnapshot {
-                    name: n.clone(),
-                    count: h.count.load(Ordering::Relaxed),
-                    sum: h.sum.load(Ordering::Relaxed),
-                    buckets: h
-                        .buckets
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, b)| {
-                            let n = b.load(Ordering::Relaxed);
-                            (n > 0).then(|| (bucket_upper(i), n))
-                        })
-                        .collect(),
-                })
-                .collect(),
+            counters: readings(&inner.counters, CounterCells::sum),
+            gauges: readings(&inner.gauges, |g| g.load(Ordering::Relaxed)),
             sketches: inner
                 .sketches
                 .iter()
@@ -492,11 +426,12 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use MetricClass::{Exact, Scheduling, Wall};
 
     #[test]
     fn counter_sums_across_threads_and_shards() {
         let reg = MetricsRegistry::new(true);
-        let c = reg.counter("x");
+        let c = reg.counter("x", Exact);
         std::thread::scope(|s| {
             for _ in 0..8 {
                 let c = c.clone();
@@ -514,20 +449,20 @@ mod tests {
     #[test]
     fn counter_get_or_create_shares_cells() {
         let reg = MetricsRegistry::new(true);
-        reg.counter("shared").add(2);
-        reg.counter("shared").add(3);
+        reg.counter("shared", Exact).add(2);
+        reg.counter("shared", Exact).add(3);
         assert_eq!(reg.snapshot().counter("shared"), Some(5));
     }
 
     #[test]
     fn disabled_registry_is_a_noop() {
         let reg = MetricsRegistry::new(false);
-        let c = reg.counter("c");
-        let g = reg.gauge("g");
-        let h = reg.histogram("h");
+        let c = reg.counter("c", Exact);
+        let g = reg.gauge("g", Exact);
+        let s = reg.sketch("s");
         c.add(10);
         g.set(10);
-        h.record(10);
+        s.record(10);
         assert!(!c.is_live());
         assert_eq!(c.value(), 0);
         assert_eq!(reg.snapshot(), MetricsSnapshot::default());
@@ -536,7 +471,7 @@ mod tests {
     #[test]
     fn gauge_set_and_set_max() {
         let reg = MetricsRegistry::new(true);
-        let g = reg.gauge("hw");
+        let g = reg.gauge("hw", Exact);
         g.set_max(5);
         g.set_max(3);
         assert_eq!(g.value(), 5);
@@ -545,40 +480,77 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_and_quantiles() {
+    fn snapshot_reports_each_metric_under_its_registered_class() {
         let reg = MetricsRegistry::new(true);
-        let h = reg.histogram("lat");
-        for v in [0u64, 1, 2, 3, 4, 100, 1000] {
-            h.record(v);
-        }
+        reg.counter("work.items", Exact).add(4);
+        reg.counter("lock.site.acquires", Scheduling).incr();
+        reg.counter("timer.ticks", Wall).incr();
+        reg.gauge("queue.depth", Scheduling).set(2);
+        reg.gauge("ring.bytes", Exact).set(9);
+        // A gauge may share a counter's base name under its own class.
+        reg.gauge("work.items", Scheduling).set(1);
         let snap = reg.snapshot();
-        let hs = snap.histogram("lat").unwrap();
-        assert_eq!(hs.count, 7);
-        assert_eq!(hs.sum, 1110);
-        // v == 0 lands in bucket 0 (upper bound 0).
-        assert_eq!(hs.buckets[0], (0, 1));
-        // 1000 lands in [512, 1023]; the interpolated estimate must stay
-        // inside that bucket instead of jumping to the upper bound.
-        let p99 = hs.quantile(0.99);
-        assert!((512..=1023).contains(&p99), "p99 = {p99}");
-        assert_eq!(hs.quantile(0.0), 0);
+        let classes = |rs: &[Reading]| -> Vec<(String, MetricClass)> {
+            rs.iter().map(|r| (r.name.clone(), r.class)).collect()
+        };
+        assert_eq!(
+            classes(&snap.counters),
+            [
+                ("lock.site.acquires".to_string(), Scheduling),
+                ("timer.ticks".to_string(), Wall),
+                ("work.items".to_string(), Exact),
+            ]
+        );
+        assert_eq!(
+            classes(&snap.gauges),
+            [
+                ("queue.depth".to_string(), Scheduling),
+                ("ring.bytes".to_string(), Exact),
+                ("work.items".to_string(), Scheduling),
+            ]
+        );
+        assert_eq!(snap.series_class("counter.work.items"), Some(Exact));
+        assert_eq!(snap.series_class("gauge.work.items"), Some(Scheduling));
+        assert_eq!(
+            snap.series_class("counter.lock.site.acquires"),
+            Some(Scheduling)
+        );
+        assert_eq!(snap.series_class("work.items"), None);
+        assert_eq!(snap.series_class("gauge.missing"), None);
+        let series: Vec<String> = snap.series_readings().map(|(n, _)| n).collect();
+        assert_eq!(series[0], "counter.lock.site.acquires");
+        assert_eq!(series[5], "gauge.work.items");
     }
 
     #[test]
-    fn quantile_interpolates_within_bucket() {
-        // Regression: quantile() used to return the bucket's power-of-two
-        // upper bound — here 127, a 32% overestimate of the true median.
+    #[should_panic(expected = "counter \"dup\" is registered as Exact, requested as Scheduling")]
+    fn reregistering_a_counter_under_another_class_panics() {
         let reg = MetricsRegistry::new(true);
-        let h = reg.histogram("lat");
-        for _ in 0..1000 {
-            h.record(96); // bucket [64, 127]
-        }
+        reg.counter("dup", Exact);
+        reg.counter("dup", Scheduling);
+    }
+
+    #[test]
+    #[should_panic(expected = "gauge \"dup\" is registered as Scheduling, requested as Exact")]
+    fn reregistering_a_gauge_under_another_class_panics() {
+        let reg = MetricsRegistry::new(true);
+        reg.gauge("dup", Scheduling);
+        reg.gauge("dup", Exact);
+    }
+
+    #[test]
+    fn class_conflict_leaves_the_registry_usable() {
+        let reg = MetricsRegistry::new(true);
+        reg.counter("dup", Exact).incr();
+        let conflict =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| reg.counter("dup", Wall)));
+        assert!(conflict.is_err());
+        // The panic fires after the lock is released: nothing poisoned,
+        // and the original registration is unchanged.
+        reg.counter("dup", Exact).incr();
         let snap = reg.snapshot();
-        let hs = snap.histogram("lat").unwrap();
-        // Uniform-within-bucket interpolation puts the median at the
-        // bucket midpoint, nowhere near the old 127 answer.
-        assert_eq!(hs.quantile(0.5), 95);
-        assert!(hs.quantile(0.99) < 127);
+        assert_eq!(snap.counter("dup"), Some(2));
+        assert_eq!(snap.series_class("counter.dup"), Some(Exact));
     }
 
     #[test]
@@ -601,23 +573,12 @@ mod tests {
     fn snapshot_is_sorted_by_name() {
         let reg = MetricsRegistry::new(true);
         for name in ["zeta", "alpha", "mid"] {
-            reg.counter(name).incr();
+            reg.counter(name, Exact).incr();
         }
         let snap = reg.snapshot();
-        let names: Vec<&str> = snap.counters.iter().map(|(n, _)| n.as_str()).collect();
+        let names: Vec<&str> = snap.counters.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(names, vec!["alpha", "mid", "zeta"]);
         assert_eq!(snap.counter("alpha"), Some(1));
         assert_eq!(snap.counter("missing"), None);
-    }
-
-    #[test]
-    fn bucket_mapping_is_monotone() {
-        let mut last = 0;
-        for v in [0u64, 1, 2, 4, 8, 1 << 20, u64::MAX] {
-            let b = bucket_of(v);
-            assert!(b >= last);
-            last = b;
-            assert!(v <= bucket_upper(b));
-        }
     }
 }

@@ -242,10 +242,11 @@ impl TelemetryPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MetricClass;
 
     fn det_plane() -> (Arc<TelemetryPlane>, crate::Counter) {
         let obs = Obs::new(true);
-        let c = obs.registry().counter("work");
+        let c = obs.registry().counter("work", MetricClass::Exact);
         let plane = TelemetryPlane::new(
             obs,
             TelemetryConfig {

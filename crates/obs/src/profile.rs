@@ -16,7 +16,7 @@
 //! record only on the slow path where the lock was actually held by
 //! someone else.
 
-use crate::metrics::{Counter, MetricsRegistry};
+use crate::metrics::{Counter, MetricClass, MetricsRegistry};
 use crate::sketch::Sketch;
 use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
@@ -584,10 +584,13 @@ impl ContentionCounter {
 
     /// Register `{name}.acquires`, `{name}.contended`, `{name}.wait_us`
     /// under the given registry (noop handles when it is disabled).
+    /// Whether an acquisition contends, and how often a lock is taken
+    /// at all, depends on scheduling: both counters are
+    /// [`MetricClass::Scheduling`].
     pub fn register(reg: &MetricsRegistry, name: &str) -> ContentionCounter {
         ContentionCounter {
-            acquires: reg.counter(&format!("{name}.acquires")),
-            contended: reg.counter(&format!("{name}.contended")),
+            acquires: reg.counter(&format!("{name}.acquires"), MetricClass::Scheduling),
+            contended: reg.counter(&format!("{name}.contended"), MetricClass::Scheduling),
             wait_us: reg.sketch(&format!("{name}.wait_us")),
         }
     }

@@ -16,10 +16,10 @@
 //! # Examples
 //!
 //! ```
-//! use jportal_obs::{MetricsRegistry, SeriesStore};
+//! use jportal_obs::{MetricClass, MetricsRegistry, SeriesStore};
 //!
 //! let reg = MetricsRegistry::new(true);
-//! let c = reg.counter("bytes");
+//! let c = reg.counter("bytes", MetricClass::Exact);
 //! let mut store = SeriesStore::new(4);
 //! c.add(10);
 //! store.tick(100, &reg.snapshot());
@@ -109,18 +109,13 @@ impl SeriesStore {
         self.next_seq
     }
 
-    /// Appends one point per counter and gauge in `snap`, stamped `ts`.
-    /// Counters are prefixed `counter.`, gauges `gauge.`, so a counter
-    /// and a gauge sharing a base name never collide.
+    /// Appends one point per counter and gauge in `snap`, stamped `ts`,
+    /// under its series name (see [`MetricsSnapshot::series_readings`]).
     pub fn tick(&mut self, ts: u64, snap: &MetricsSnapshot) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        for (name, value) in snap
-            .counters
-            .iter()
-            .map(|(n, v)| (format!("counter.{n}"), *v))
-            .chain(snap.gauges.iter().map(|(n, v)| (format!("gauge.{n}"), *v)))
-        {
+        for (name, reading) in snap.series_readings() {
+            let value = reading.value;
             let ring = self.rings.entry(name).or_default();
             let delta = if ring.points.is_empty() {
                 value as i64
@@ -168,12 +163,12 @@ impl SeriesStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::MetricsRegistry;
+    use crate::metrics::{MetricClass::Exact, MetricsRegistry};
 
     #[test]
     fn deltas_and_window_eviction() {
         let reg = MetricsRegistry::new(true);
-        let c = reg.counter("ops");
+        let c = reg.counter("ops", Exact);
         let mut store = SeriesStore::new(3);
         for i in 1..=5u64 {
             c.add(i);
@@ -197,7 +192,7 @@ mod tests {
     #[test]
     fn gauges_can_move_down() {
         let reg = MetricsRegistry::new(true);
-        let g = reg.gauge("depth");
+        let g = reg.gauge("depth", Exact);
         let mut store = SeriesStore::new(8);
         g.set(10);
         store.tick(1, &reg.snapshot());
@@ -211,7 +206,7 @@ mod tests {
     #[test]
     fn rate_over_window() {
         let reg = MetricsRegistry::new(true);
-        let c = reg.counter("bytes");
+        let c = reg.counter("bytes", Exact);
         let mut store = SeriesStore::new(16);
         c.add(100);
         store.tick(0, &reg.snapshot());
@@ -228,8 +223,8 @@ mod tests {
     #[test]
     fn names_are_sorted_and_prefixed() {
         let reg = MetricsRegistry::new(true);
-        reg.counter("b").incr();
-        reg.gauge("a").set(1);
+        reg.counter("b", Exact).incr();
+        reg.gauge("a", Exact).set(1);
         let mut store = SeriesStore::new(4);
         store.tick(1, &reg.snapshot());
         assert_eq!(store.names(), vec!["counter.b", "gauge.a"]);

@@ -35,7 +35,7 @@ use crate::flame::flame_svg;
 use crate::plane::{PlaneSnapshot, TelemetryPlane};
 use crate::series::Series;
 use crate::sketch::Sketch;
-use crate::Counter;
+use crate::{Counter, MetricClass};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -352,13 +352,14 @@ impl TelemetryServer {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
     /// starts serving `plane` in background threads. The server records
     /// its own telemetry through the plane's registry:
-    /// `obs.serve.requests` and the `obs.serve.scrape_us` sketch.
+    /// `obs.serve.requests` (scheduling-dependent: it counts scrapes) and
+    /// the `obs.serve.scrape_us` sketch.
     pub fn bind(plane: Arc<TelemetryPlane>, addr: &str) -> std::io::Result<TelemetryServer> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let registry = plane.obs().registry();
         let shared = Arc::new(ServeShared {
-            requests: registry.counter("obs.serve.requests"),
+            requests: registry.counter("obs.serve.requests", MetricClass::Scheduling),
             scrape_us: registry.sketch("obs.serve.scrape_us"),
             plane,
             shutdown: AtomicBool::new(false),

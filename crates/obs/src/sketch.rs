@@ -1,11 +1,9 @@
 //! Streaming quantile sketches: log-linear bucketed, mergeable, with a
 //! bounded relative error on every reported quantile.
 //!
-//! The 32-bucket power-of-two [`crate::Histogram`] is fine for orders of
-//! magnitude but useless for percentiles — a p99 read off a power-of-two
-//! bucket bound can overestimate by up to 2×. A [`Sketch`] keeps the
-//! same update cost (one relaxed atomic add into a fixed array, no
-//! allocation) while bounding the quantile error:
+//! A p99 read off a plain power-of-two bucket bound can overestimate by
+//! up to 2×. A [`Sketch`] keeps that update cost (one relaxed atomic add
+//! into a fixed array, no allocation) while bounding the quantile error:
 //!
 //! * values below [`SKETCH_LINEAR_MAX`] get **one bucket each** (exact);
 //! * larger values are bucketed **log-linearly**: each power-of-two
@@ -18,6 +16,10 @@
 //! [`SketchSnapshot::merge`] exactly (bucket-wise addition — associative
 //! and commutative by construction), which is what lets a fan-out record
 //! locally and publish one mergeable summary.
+//!
+//! Every sketch in the pipeline records a µs duration, so sketches take
+//! no [`crate::MetricClass`]: they are [`crate::MetricClass::Wall`] by
+//! construction and never part of the determinism contract.
 //!
 //! # Examples
 //!

@@ -19,7 +19,6 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::metrics::Histogram;
 use crate::profile::ContentionCounter;
 use crate::sketch::Sketch;
 
@@ -243,8 +242,6 @@ pub struct SpanGuard<'c> {
     args: Vec<(&'static str, ArgValue)>,
     start: Option<Instant>,
     start_us: u64,
-    /// Optional histogram receiving the duration in µs on drop.
-    dur_histogram: Option<Histogram>,
     /// Optional quantile sketch receiving the duration in µs on drop.
     dur_sketch: Option<Sketch>,
     /// `true` when this span was pushed onto the thread's profiler
@@ -263,7 +260,6 @@ impl<'c> SpanGuard<'c> {
             args: Vec::new(),
             start: None,
             start_us: 0,
-            dur_histogram: None,
             dur_sketch: None,
             profiled: false,
         }
@@ -296,7 +292,6 @@ impl<'c> SpanGuard<'c> {
             args: Vec::new(),
             start: Some(Instant::now()),
             start_us: collector.now_us(),
-            dur_histogram: None,
             dur_sketch: None,
             profiled,
         }
@@ -320,16 +315,8 @@ impl<'c> SpanGuard<'c> {
         self
     }
 
-    /// Also records the span's duration (µs) into `h` on drop.
-    pub fn record_dur(mut self, h: &Histogram) -> SpanGuard<'c> {
-        if self.collector.is_some() {
-            self.dur_histogram = Some(h.clone());
-        }
-        self
-    }
-
     /// Also records the span's duration (µs) into quantile sketch `s`
-    /// on drop — the percentile-grade sibling of [`Self::record_dur`].
+    /// on drop.
     pub fn record_sketch(mut self, s: &Sketch) -> SpanGuard<'c> {
         if self.collector.is_some() {
             self.dur_sketch = Some(s.clone());
@@ -355,9 +342,6 @@ impl Drop for SpanGuard<'_> {
             .start
             .map(|t| t.elapsed().as_micros() as u64)
             .unwrap_or(0);
-        if let Some(h) = &self.dur_histogram {
-            h.record(dur_us);
-        }
         if let Some(s) = &self.dur_sketch {
             s.record(dur_us);
         }
@@ -436,17 +420,6 @@ mod tests {
                 "work/root/unit{i=3}",
             ]
         );
-    }
-
-    #[test]
-    fn record_dur_feeds_histogram() {
-        let c = SpanCollector::new();
-        let reg = crate::MetricsRegistry::new(true);
-        let h = reg.histogram("span.wall_us");
-        {
-            let _g = SpanGuard::open(&c, "x", "y").record_dur(&h);
-        }
-        assert_eq!(h.count(), 1);
     }
 
     #[test]

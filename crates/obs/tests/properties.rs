@@ -1,12 +1,12 @@
 //! Property tests for the telemetry layer's concurrency and export
 //! invariants: sharded counters never lose or double-count updates under
-//! any thread/plan mix, histograms conserve count and sum, and both
+//! any thread/plan mix, sketches conserve count and sum, and both
 //! exporters always emit valid JSON.
 
 use proptest::prelude::*;
 
 use jportal_obs::json::validate;
-use jportal_obs::{MetricsRegistry, Obs};
+use jportal_obs::{MetricClass, MetricsRegistry, Obs};
 
 proptest! {
     /// Concurrent increments over the sharded counter cells sum exactly:
@@ -18,7 +18,7 @@ proptest! {
         threads in 1usize..8,
     ) {
         let reg = MetricsRegistry::new(true);
-        let c = reg.counter("t");
+        let c = reg.counter("t", MetricClass::Exact);
         let expected: u64 = plan.iter().sum();
         let chunk = plan.len().div_ceil(threads).max(1);
         std::thread::scope(|s| {
@@ -35,35 +35,35 @@ proptest! {
         prop_assert_eq!(reg.snapshot().counter("t"), Some(expected));
     }
 
-    /// Histograms conserve observation count and sum across threads, and
-    /// bucket counts always add up to the total count.
+    /// Sketches conserve observation count and sum across threads,
+    /// bucket counts always add up to the total count, and the extremes
+    /// are exact.
     #[test]
-    fn histogram_conserves_count_and_sum(
+    fn sketch_conserves_count_and_sum(
         values in prop::collection::vec(0u64..1_000_000, 1..64),
         threads in 1usize..6,
     ) {
         let reg = MetricsRegistry::new(true);
-        let h = reg.histogram("v");
+        let sketch = reg.sketch("v");
         let chunk = values.len().div_ceil(threads).max(1);
         std::thread::scope(|s| {
             for part in values.chunks(chunk) {
-                let h = h.clone();
+                let sketch = sketch.clone();
                 s.spawn(move || {
                     for &v in part {
-                        h.record(v);
+                        sketch.record(v);
                     }
                 });
             }
         });
         let snap = reg.snapshot();
-        let hs = snap.histogram("v").unwrap();
-        prop_assert_eq!(hs.count, values.len() as u64);
-        prop_assert_eq!(hs.sum, values.iter().sum::<u64>());
-        let bucket_total: u64 = hs.buckets.iter().map(|&(_, n)| n).sum();
-        prop_assert_eq!(bucket_total, hs.count);
-        // Every value fits under some reported bucket bound.
-        let max_upper = hs.buckets.last().map(|&(u, _)| u).unwrap_or(0);
-        prop_assert!(values.iter().all(|&v| v <= max_upper));
+        let sk = snap.sketch("v").unwrap();
+        prop_assert_eq!(sk.count, values.len() as u64);
+        prop_assert_eq!(sk.sum, values.iter().sum::<u64>());
+        let bucket_total: u64 = sk.buckets.iter().map(|&(_, n)| n).sum();
+        prop_assert_eq!(bucket_total, sk.count);
+        prop_assert_eq!(sk.min, *values.iter().min().unwrap());
+        prop_assert_eq!(sk.max, *values.iter().max().unwrap());
     }
 
     /// Span structure is independent of how work is split over threads:
@@ -106,11 +106,11 @@ proptest! {
         let obs = Obs::new(true);
         let names = ["a", "b.c", "d-e", "f g", "h\"i", "j\\k"];
         for &(which, v) in &counters {
-            obs.registry().counter(names[which]).add(v);
+            obs.registry().counter(names[which], MetricClass::Exact).add(v);
         }
-        let h = obs.registry().histogram("hist");
+        let sketch = obs.registry().sketch("sketch");
         for &v in &record {
-            h.record(v);
+            sketch.record(v);
         }
         {
             let _s = obs.span("cat", "name").arg("v", 1u64);
@@ -118,9 +118,11 @@ proptest! {
         let report = obs.telemetry();
         prop_assert!(validate(&report.chrome_trace_json()).is_ok());
         prop_assert!(validate(&report.metrics_json()).is_ok());
-        for (name, v) in &report.metrics.counters {
-            prop_assert_eq!(report.metrics.counter(name), Some(*v));
+        for r in &report.metrics.counters {
+            prop_assert_eq!(report.metrics.counter(&r.name), Some(r.value));
         }
+        let sk = report.metrics.sketch("sketch").unwrap();
+        prop_assert_eq!(sk.count, record.len() as u64);
     }
 
     /// Sketch merge is associative and order-independent: merging

@@ -5,8 +5,8 @@
 //! balancing, so one slow item does not idle the other workers), and the
 //! results are reassembled in item order, making the output **independent
 //! of scheduling**. With `workers <= 1` (or one item) everything runs
-//! inline on the caller's stack — the exact legacy sequential path, with
-//! no threads spawned and no synchronization.
+//! inline on the caller's stack — the exact legacy sequential order, with
+//! no threads spawned.
 //!
 //! The executor is deliberately tiny: no pools are kept alive between
 //! calls, no task graph, no nested-scheduling policy. JPortal's offline
@@ -14,16 +14,16 @@
 //! segment, score a candidate), so scoped threads per phase are cheap
 //! relative to the work they carry.
 
-use jportal_obs::{ContentionCounter, Gauge, MetricsRegistry};
+use jportal_obs::{ContentionCounter, Gauge, MetricClass, MetricsRegistry};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Telemetry handles for one fan-out call site: a queue-depth gauge
 /// over the not-yet-claimed items (`par.queue.pending`) and contention
 /// accounting over the shared result-collection mutex
-/// (`lock.par.collect.*`). The plain [`par_map`] family uses a noop
-/// set; the pipeline passes a registered set through the `_metered`
-/// variants at its fan-outs.
+/// (`lock.par.collect.*`). Untelemetered callers pass
+/// [`ParMetrics::noop`]; the pipeline passes a registered set at its
+/// fan-outs.
 #[derive(Debug, Clone, Default)]
 pub struct ParMetrics {
     pending: Gauge,
@@ -37,10 +37,12 @@ impl ParMetrics {
     }
 
     /// Registers `par.queue.pending` and `lock.par.collect.*` (noop
-    /// handles when the registry is disabled).
+    /// handles when the registry is disabled). The queue depth a scrape
+    /// sees depends on claim interleaving, so the gauge is
+    /// [`MetricClass::Scheduling`].
     pub fn register(reg: &MetricsRegistry) -> ParMetrics {
         ParMetrics {
-            pending: reg.gauge("par.queue.pending"),
+            pending: reg.gauge("par.queue.pending", MetricClass::Scheduling),
             collect: ContentionCounter::register(reg, "lock.par.collect"),
         }
     }
@@ -69,145 +71,76 @@ pub fn effective_workers(requested: Option<usize>) -> usize {
 /// the caller folds over the output — is deterministic regardless of the
 /// worker count or scheduling. A panic in any worker propagates.
 ///
+/// `metrics` tracks how many items remain unclaimed in
+/// `par.queue.pending` (updated at every claim, so a scrape mid-fan-out
+/// sees the live backlog) and accounts the result-collection mutex
+/// through `lock.par.collect.*`.
+///
 /// # Examples
 ///
 /// ```
-/// let squares = jportal_par::par_map(4, &[1u64, 2, 3, 4], |_, &x| x * x);
+/// use jportal_par::{par_map, ParMetrics};
+///
+/// let squares = par_map(4, &[1u64, 2, 3, 4], &ParMetrics::noop(), |_, &x| x * x);
 /// assert_eq!(squares, vec![1, 4, 9, 16]);
 /// // workers = 1 is the inline sequential path, same result.
-/// assert_eq!(jportal_par::par_map(1, &[1u64, 2, 3, 4], |_, &x| x * x), squares);
+/// assert_eq!(par_map(1, &[1u64, 2, 3, 4], &ParMetrics::noop(), |_, &x| x * x), squares);
 /// ```
-pub fn par_map<T, R, F>(workers: usize, items: &[T], f: F) -> Vec<R>
+pub fn par_map<T, R, F>(workers: usize, items: &[T], metrics: &ParMetrics, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    par_map_metered(workers, items, &ParMetrics::noop(), f)
-}
-
-/// [`par_map`] with queue-depth and collection-lock telemetry: the
-/// `par.queue.pending` gauge tracks how many items remain unclaimed
-/// (updated at every claim, so a scrape mid-fan-out sees the live
-/// backlog) and the result-collection mutex is accounted through
-/// `lock.par.collect.*`. With noop metrics this is exactly [`par_map`].
-pub fn par_map_metered<T, R, F>(workers: usize, items: &[T], metrics: &ParMetrics, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let n = items.len();
-    let workers = workers.min(n).max(1);
-    if workers <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-
-    metrics.pending.set(n as u64);
-    let cursor = AtomicUsize::new(0);
-    let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                let mut local: Vec<(usize, R)> = Vec::new();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    metrics.pending.set((n - i - 1) as u64);
-                    local.push((i, f(i, &items[i])));
-                }
-                if !local.is_empty() {
-                    metrics.collect.lock(&collected).extend(local);
-                }
-            });
-        }
-    });
-    metrics.pending.set(0);
-
-    // Reassemble in item order.
-    let mut tagged = collected.into_inner().unwrap();
-    tagged.sort_unstable_by_key(|&(i, _)| i);
-    debug_assert_eq!(tagged.len(), n);
-    tagged.into_iter().map(|(_, r)| r).collect()
+    fan_out(workers, items.len(), metrics, |i| f(i, &items[i]))
 }
 
 /// Like [`par_map`] but consumes the items, handing each worker ownership
 /// of the elements it claims. Results are returned in item order.
-pub fn par_map_owned<T, R, F>(workers: usize, items: Vec<T>, f: F) -> Vec<R>
+pub fn par_map_owned<T, R, F>(workers: usize, items: Vec<T>, metrics: &ParMetrics, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(usize, T) -> R + Sync,
 {
-    par_map_owned_metered(workers, items, &ParMetrics::noop(), f)
-}
-
-/// [`par_map_owned`] with the same telemetry as [`par_map_metered`].
-pub fn par_map_owned_metered<T, R, F>(
-    workers: usize,
-    items: Vec<T>,
-    metrics: &ParMetrics,
-    f: F,
-) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    let n = items.len();
-    let workers = workers.min(n).max(1);
-    if workers <= 1 {
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| f(i, t))
-            .collect();
-    }
-    metrics.pending.set(n as u64);
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let cursor = AtomicUsize::new(0);
-    let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                let mut local: Vec<(usize, R)> = Vec::new();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    metrics.pending.set((n - i - 1) as u64);
-                    let item = slots[i].lock().unwrap().take().expect("item claimed once");
-                    local.push((i, f(i, item)));
-                }
-                if !local.is_empty() {
-                    metrics.collect.lock(&collected).extend(local);
-                }
-            });
-        }
-    });
-    metrics.pending.set(0);
-    let mut tagged = collected.into_inner().unwrap();
-    tagged.sort_unstable_by_key(|&(i, _)| i);
-    debug_assert_eq!(tagged.len(), n);
-    tagged.into_iter().map(|(_, r)| r).collect()
+    fan_out(workers, slots.len(), metrics, |i| {
+        // The slot guard drops at the end of this statement, before `f`.
+        let item = slots[i]
+            .lock()
+            .expect("slot lock is never held across f")
+            .take()
+            .expect("item claimed once");
+        f(i, item)
+    })
 }
 
 /// Like [`par_map`] over the index range `0..n` without materializing a
-/// slice of inputs.
+/// slice of inputs, and without telemetry.
 pub fn par_map_range<R, F>(workers: usize, n: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    // A unit slice of length n would do; avoid the allocation with a
-    // cursor loop mirroring par_map.
+    fan_out(workers, n, &ParMetrics::noop(), f)
+}
+
+/// The one scheduler loop: workers claim indices `0..n` from a shared
+/// cursor, buffer their results locally, hand them over under the
+/// collection lock once, and the caller's thread sorts them back into
+/// index order. With one worker (or at most one item) `f` runs inline,
+/// in order, on the caller's thread.
+fn fan_out<R, F>(workers: usize, n: usize, metrics: &ParMetrics, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
     let workers = workers.min(n).max(1);
     if workers <= 1 {
         return (0..n).map(f).collect();
     }
+
+    metrics.pending.set(n as u64);
     let cursor = AtomicUsize::new(0);
     let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
     std::thread::scope(|s| {
@@ -219,16 +152,22 @@ where
                     if i >= n {
                         break;
                     }
+                    metrics.pending.set((n - i - 1) as u64);
                     local.push((i, f(i)));
                 }
                 if !local.is_empty() {
-                    collected.lock().unwrap().extend(local);
+                    metrics.collect.lock(&collected).extend(local);
                 }
             });
         }
     });
-    let mut tagged = collected.into_inner().unwrap();
+    metrics.pending.set(0);
+
+    // Reassemble in item order. A worker panic propagates out of the
+    // scope above, so the lock can only be poisoned by a bug here.
+    let mut tagged = collected.into_inner().expect("collection lock poisoned");
     tagged.sort_unstable_by_key(|&(i, _)| i);
+    debug_assert_eq!(tagged.len(), n);
     tagged.into_iter().map(|(_, r)| r).collect()
 }
 
@@ -239,26 +178,33 @@ mod tests {
     #[test]
     fn preserves_order_at_any_worker_count() {
         let items: Vec<usize> = (0..1000).collect();
-        let seq = par_map(1, &items, |i, &x| i * 31 + x);
+        let seq = par_map(1, &items, &ParMetrics::noop(), |i, &x| i * 31 + x);
         for workers in [2, 3, 4, 8, 16] {
-            assert_eq!(par_map(workers, &items, |i, &x| i * 31 + x), seq);
+            assert_eq!(
+                par_map(workers, &items, &ParMetrics::noop(), |i, &x| i * 31 + x),
+                seq
+            );
         }
     }
 
     #[test]
     fn empty_and_single() {
         let empty: Vec<u32> = Vec::new();
-        assert!(par_map(8, &empty, |_, &x| x).is_empty());
-        assert_eq!(par_map(8, &[7u32], |_, &x| x + 1), vec![8]);
+        let noop = ParMetrics::noop();
+        assert!(par_map(8, &empty, &noop, |_, &x| x).is_empty());
+        assert_eq!(par_map(8, &[7u32], &noop, |_, &x| x + 1), vec![8]);
+        assert!(par_map_owned(8, empty, &noop, |_, x| x).is_empty());
+        assert!(par_map_range(8, 0, |i| i).is_empty());
     }
 
     #[test]
     fn owned_variant_preserves_order_and_moves() {
         let items: Vec<String> = (0..100).map(|i| format!("s{i}")).collect();
-        let seq = par_map_owned(1, items.clone(), |i, s| format!("{i}:{s}"));
+        let noop = ParMetrics::noop();
+        let seq = par_map_owned(1, items.clone(), &noop, |i, s| format!("{i}:{s}"));
         for workers in [2, 4, 8] {
             assert_eq!(
-                par_map_owned(workers, items.clone(), |i, s| format!("{i}:{s}")),
+                par_map_owned(workers, items.clone(), &noop, |i, s| format!("{i}:{s}")),
                 seq
             );
         }
@@ -284,32 +230,35 @@ mod tests {
         let reg = MetricsRegistry::new(true);
         let metrics = ParMetrics::register(&reg);
         let items: Vec<usize> = (0..512).collect();
-        let out = par_map_metered(4, &items, &metrics, |i, &x| i + x);
-        assert_eq!(out, par_map(1, &items, |i, &x| i + x));
-        let owned = par_map_owned_metered(4, (0..64u64).collect(), &metrics, |_, x| x * 2);
+        let out = par_map(4, &items, &metrics, |i, &x| i + x);
+        assert_eq!(out, par_map(1, &items, &ParMetrics::noop(), |i, &x| i + x));
+        let owned = par_map_owned(4, (0..64u64).collect(), &metrics, |_, x| x * 2);
         assert_eq!(owned, (0..64u64).map(|x| x * 2).collect::<Vec<_>>());
         let snap = reg.snapshot();
         let gauge = snap
-            .gauges
-            .iter()
-            .find(|(name, _)| name == "par.queue.pending")
+            .gauge("par.queue.pending")
             .expect("queue gauge registered");
-        assert_eq!(gauge.1, 0, "gauge returns to zero after the fan-out");
+        assert_eq!(gauge, 0, "gauge returns to zero after the fan-out");
         let acquires = snap
-            .counters
-            .iter()
-            .find(|(name, _)| name == "lock.par.collect.acquires")
+            .counter("lock.par.collect.acquires")
             .expect("collect lock accounted");
         // Each worker with a non-empty local batch takes the lock once
         // per fan-out; two fan-outs at 4 workers bound it to 8.
-        assert!(acquires.1 >= 2 && acquires.1 <= 8);
+        assert!((2..=8).contains(&acquires));
+        // Both families are scheduling-dependent by registration.
+        for series in [
+            "gauge.par.queue.pending",
+            "counter.lock.par.collect.acquires",
+        ] {
+            assert_eq!(snap.series_class(series), Some(MetricClass::Scheduling));
+        }
     }
 
     #[test]
     #[should_panic]
     fn worker_panic_propagates() {
         let items: Vec<usize> = (0..64).collect();
-        let _ = par_map(4, &items, |_, &x| {
+        let _ = par_map(4, &items, &ParMetrics::noop(), |_, &x| {
             assert!(x < 10, "boom");
             x
         });

@@ -285,7 +285,7 @@ fn section(doc: &Value, key: &str) -> Vec<(String, f64)> {
     }
 }
 
-/// Compound members (histograms/sketches) of the object at `doc[key]`.
+/// Compound members (sketches) of the object at `doc[key]`.
 fn compound_section<'v>(doc: &'v Value, key: &str) -> Vec<(&'v String, &'v Value)> {
     match doc.get(key) {
         Some(Value::Obj(pairs)) => pairs.iter().map(|(k, v)| (k, v)).collect(),
@@ -297,7 +297,7 @@ fn compound_section<'v>(doc: &'v Value, key: &str) -> Vec<(&'v String, &'v Value
 /// live endpoint (any `http://` source; bare base URLs get
 /// `/metrics.json` appended) or a file written by `observe` — and render
 /// the same aligned summary table the pipeline prints for itself. With
-/// `--check`, additionally asserts the schema: strict JSON, the four
+/// `--check`, additionally asserts the schema: strict JSON, the three
 /// sections, and ordered sketch percentiles.
 fn telemetry(source: &str, check: bool) -> Result<(), String> {
     let body = if let Some(rest) = source.strip_prefix("http://") {
@@ -319,13 +319,11 @@ fn telemetry(source: &str, check: bool) -> Result<(), String> {
 
     let counters = section(&doc, "counters");
     let gauges = section(&doc, "gauges");
-    let histograms = compound_section(&doc, "histograms");
     let sketches = compound_section(&doc, "sketches");
     let width = counters
         .iter()
         .map(|(n, _)| n.len())
         .chain(gauges.iter().map(|(n, _)| n.len()))
-        .chain(histograms.iter().map(|(n, _)| n.len()))
         .chain(sketches.iter().map(|(n, _)| n.len()))
         .max()
         .unwrap_or(8)
@@ -345,18 +343,6 @@ fn telemetry(source: &str, check: bool) -> Result<(), String> {
             println!("  {name:<width$}  {v:>12}");
         }
     }
-    if !histograms.is_empty() {
-        println!("histograms (count / sum / ~p50 / ~p99)");
-        for (name, h) in &histograms {
-            println!(
-                "  {name:<width$}  {:>8} {:>12} {:>10} {:>10}",
-                num(h, "count"),
-                num(h, "sum"),
-                num(h, "p50"),
-                num(h, "p99"),
-            );
-        }
-    }
     if !sketches.is_empty() {
         println!("sketches (count / ~p50 / ~p90 / ~p99 / max)");
         for (name, s) in &sketches {
@@ -372,7 +358,7 @@ fn telemetry(source: &str, check: bool) -> Result<(), String> {
     }
 
     if check {
-        for key in ["counters", "gauges", "histograms", "sketches"] {
+        for key in ["counters", "gauges", "sketches"] {
             if !matches!(doc.get(key), Some(Value::Obj(_))) {
                 return Err(format!(
                     "{source}: section {key:?} missing or not an object"
@@ -400,7 +386,7 @@ fn telemetry(source: &str, check: bool) -> Result<(), String> {
             }
         }
         println!(
-            "check ok: strict JSON, all four sections, {} sketches ordered",
+            "check ok: strict JSON, all three sections, {} sketches ordered",
             sketches.len()
         );
     }

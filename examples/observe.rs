@@ -6,7 +6,7 @@
 //!   track per worker thread plus a simulated-time track with the
 //!   per-core PT overflow windows the pipeline had to recover across;
 //! * `target/obs/<name>.metrics.json` — flat metrics snapshot
-//!   (counters, gauges, histogram quantiles);
+//!   (counters, gauges, sketch quantiles);
 //! * a human-readable summary table on stdout.
 //!
 //! Workloads run under a deliberately lossy collection configuration so

@@ -1,24 +1,20 @@
 //! Live-telemetry determinism: with a deterministic plane (ticks
 //! stamped by logical index), the stored time-series of an analysis are
-//! identical between `parallelism: Some(1)` and `None` — the stage
-//! ticks happen on the main thread at fixed points, and every metric
-//! they sample is deterministically merged before the tick.
+//! identical between `parallelism: Some(1)` and `Some(4)` — the stage
+//! ticks happen on the main thread at fixed points, and every exact
+//! metric they sample is deterministically merged before the tick.
 //!
-//! Scheduling-dependent metrics are excluded by contract: `cfg.dfa.*`
-//! (cache hit/miss splits depend on worker interleaving),
-//! `obs.serve.*` (only a bound server feeds them), the `lock.*`
-//! contention families (whether an acquisition contends is pure
-//! scheduling) and `par.queue.*` (queue depth at scrape time depends
-//! on claim interleaving).
+//! Series are selected by the class their metric was registered with:
+//! only `MetricClass::Exact` series are part of the contract.
 
 use jportal::core::{JPortal, JPortalConfig};
 use jportal::jvm::{Jvm, JvmConfig};
-use jportal::obs::TelemetryConfig;
+use jportal::obs::{MetricClass, TelemetryConfig};
 use jportal::workloads::workload_by_name;
 use std::collections::BTreeMap;
 
-/// Every stored series of the plane's newest snapshot, minus the
-/// scheduling-dependent families, as plain data.
+/// Every stored series of the plane's newest snapshot whose metric is
+/// exact, as plain data.
 type SeriesMap = BTreeMap<String, Vec<(u64, u64, u64, i64)>>;
 
 fn analyze_series(w_name: &str, parallelism: Option<usize>) -> (u64, SeriesMap) {
@@ -47,12 +43,7 @@ fn analyze_series(w_name: &str, parallelism: Option<usize>) -> (u64, SeriesMap) 
     let series = snap
         .series
         .iter()
-        .filter(|s| {
-            !s.name.contains("cfg.dfa.")
-                && !s.name.contains("obs.serve.")
-                && !s.name.starts_with("lock.")
-                && !s.name.starts_with("par.queue.")
-        })
+        .filter(|s| snap.metrics.series_class(&s.name) == Some(MetricClass::Exact))
         .map(|s| {
             let points = s
                 .points
@@ -69,16 +60,17 @@ fn analyze_series(w_name: &str, parallelism: Option<usize>) -> (u64, SeriesMap) 
 fn deterministic_series_are_parallelism_independent() {
     for name in ["fop", "sunflow"] {
         let (seq_seq, sequential) = analyze_series(name, Some(1));
-        let (par_seq, parallel) = analyze_series(name, None);
+        let (par_seq, parallel) = analyze_series(name, Some(4));
         assert_eq!(seq_seq, par_seq, "{name}: tick counts differ");
         assert!(seq_seq >= 3, "{name}: expected at least the stage ticks");
         let seq_names: Vec<&String> = sequential.keys().collect();
         let par_names: Vec<&String> = parallel.keys().collect();
         assert_eq!(seq_names, par_names, "{name}: series sets differ");
+        assert!(sequential.contains_key("counter.ipt.decode.packets"));
         for (series, points) in &sequential {
             assert_eq!(
                 points, &parallel[series],
-                "{name}: series {series} differs between Some(1) and None"
+                "{name}: series {series} differs between Some(1) and Some(4)"
             );
         }
     }
