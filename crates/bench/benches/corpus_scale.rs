@@ -14,13 +14,12 @@
 //! 2× speedup (gated).
 //!
 //! Writes `BENCH_corpus.json` and regenerates `docs/results/corpus_scale.md`
-//! following the house protocol: refuse to overwrite the committed baseline
-//! on a >10% regression unless `--force`/`JPORTAL_BENCH_FORCE=1`;
-//! `JPORTAL_BENCH_GATE=1` fails the process when the latency ratio exceeds
-//! 1.5× or the SWAR speedup drops below 2×; quick-mode runs
-//! (`JPORTAL_BENCH_QUICK=1`) check the invariants but never rewrite files.
+//! under the shared baseline protocol (`jportal_bench::gate`): a latency
+//! ratio above 1.5× or a SWAR speedup below 2× is a breach, and either
+//! number worse than the committed one by >10% is a regression.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use jportal_bench::gate::{self, Baseline, Mode};
 use jportal_bytecode::OpKind;
 use jportal_cfg::Sym;
 use jportal_core::{JPortal, JPortalConfig, JPortalReport};
@@ -35,40 +34,6 @@ use std::time::Instant;
 /// Lossy subjects whose holes outrun in-run recovery, so the corpus
 /// consult point actually fires (same configs as `tests/corpus_learning.rs`).
 const SUBJECTS: &[&str] = &["fop", "h2"];
-
-fn quick() -> bool {
-    std::env::var("JPORTAL_BENCH_QUICK")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
-
-fn force() -> bool {
-    std::env::var("JPORTAL_BENCH_FORCE")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-        || std::env::args().any(|a| a == "--force")
-}
-
-fn gate() -> bool {
-    std::env::var("JPORTAL_BENCH_GATE")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
-
-/// Pulls `"key": <number>` out of the committed JSON (no parser dep).
-fn json_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn repo_root() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
 
 fn clean_run(w: &Workload) -> RunResult {
     Jvm::new(JvmConfig {
@@ -183,7 +148,6 @@ fn measure_cell(w: &Workload, r: &RunResult, corpus: &Arc<Corpus>, reps: usize) 
             times.push(dt);
         }
     }
-    times.sort_by(f64::total_cmp);
     let report = report.unwrap();
     let fills: Vec<f64> = report
         .quality
@@ -192,7 +156,7 @@ fn measure_cell(w: &Workload, r: &RunResult, corpus: &Arc<Corpus>, reps: usize) 
         .flat_map(|t| t.fills.iter().map(|f| f.confidence))
         .collect();
     Cell {
-        median_s: times[times.len() / 2],
+        median_s: gate::median(&times),
         holes: report.threads.iter().map(|t| t.recovery.holes).sum(),
         filled: report
             .threads
@@ -238,44 +202,32 @@ impl Numbers {
     }
 }
 
-fn write_report(n: &Numbers) {
-    let path = repo_root().join("BENCH_corpus.json");
-    let committed = std::fs::read_to_string(&path).ok();
+fn write_report(mode: Mode, n: &Numbers) {
     let ratio = n.latency_ratio;
     let speedup = n.swar_speedup();
-
-    if gate() {
-        if ratio > 1.5 {
-            eprintln!("FAILED: corpus sweep latency ratio {ratio:.2} exceeds the 1.5x gate");
-            std::process::exit(1);
-        }
-        if speedup < 2.0 {
-            eprintln!("FAILED: SWAR speedup {speedup:.2}x below the 2x gate");
-            std::process::exit(1);
-        }
+    let mut base = Baseline::open("BENCH_corpus.json", mode);
+    let base_ratio = base.number("latency_ratio_max_over_min");
+    let base_speedup = base.number("swar_speedup");
+    println!(
+        "corpus_scale gate: latency ratio {ratio:.2} (committed {:.2}), \
+         SWAR speedup {speedup:.2}x (committed {:.2}x)",
+        base_ratio.unwrap_or(f64::NAN),
+        base_speedup.unwrap_or(f64::NAN)
+    );
+    if ratio > 1.5 {
+        base.fail(&format!(
+            "corpus sweep latency ratio {ratio:.2} exceeds the 1.5x gate"
+        ));
     }
-    if let Some(j) = committed.as_deref() {
-        let base_ratio = json_number(j, "latency_ratio_max_over_min").unwrap_or(f64::MAX);
-        let base_speedup = json_number(j, "swar_speedup").unwrap_or(0.0);
-        println!(
-            "corpus_scale gate: latency ratio {ratio:.2} (committed {base_ratio:.2}), \
-             SWAR speedup {speedup:.2}x (committed {base_speedup:.2}x)"
-        );
-        let regressed = ratio > base_ratio * 1.10 || speedup < base_speedup * 0.90;
-        if regressed && !force() {
-            println!(
-                "BENCH_corpus.json NOT overwritten (regression; rerun with --force or \
-                 JPORTAL_BENCH_FORCE=1)"
-            );
-            return;
-        }
-        // Quick-mode timings are too noisy to become the committed
-        // baseline: check against it, never rewrite it.
-        if quick() && !force() {
-            return;
-        }
+    if speedup < 2.0 {
+        base.fail(&format!("SWAR speedup {speedup:.2}x below the 2x gate"));
     }
-
+    if base_ratio.is_some_and(|b| ratio > b * 1.10)
+        || base_speedup.is_some_and(|b| speedup < b * 0.90)
+    {
+        base.regress("latency ratio or SWAR speedup worse than the committed one by >10%");
+    }
+    base.commit_doc("docs/results/corpus_scale.md", &markdown(n));
     let per_size: Vec<String> =
         n.points
             .iter()
@@ -287,26 +239,17 @@ fn write_report(n: &Numbers) {
             )
             })
             .collect();
-    let json = format!(
-        "{{\n  \"latency_ratio_max_over_min\": {ratio:.3},\n  \
-         \"swar_suffix_ns\": {:.1},\n  \"scalar_suffix_ns\": {:.1},\n  \
-         \"swar_speedup\": {speedup:.3},\n  \"sizes\": [\n{}\n  ]\n}}\n",
-        n.swar_ns,
-        n.scalar_ns,
-        per_size.join(",\n"),
-    );
-    if let Err(e) = std::fs::write(&path, &json) {
-        eprintln!("BENCH_corpus.json not written: {e}");
-    } else {
-        println!("BENCH_corpus.json: latency ratio {ratio:.2}, SWAR speedup {speedup:.2}x");
-    }
+    base.commit(&[
+        ("latency_ratio_max_over_min", format!("{ratio:.3}")),
+        ("swar_suffix_ns", format!("{:.1}", n.swar_ns)),
+        ("scalar_suffix_ns", format!("{:.1}", n.scalar_ns)),
+        ("swar_speedup", format!("{speedup:.3}")),
+        ("sizes", format!("[\n{}\n  ]", per_size.join(",\n"))),
+    ]);
 }
 
-fn write_markdown(n: &Numbers) {
-    let path = repo_root().join("docs/results/corpus_scale.md");
-    if quick() && path.exists() {
-        return;
-    }
+/// The `docs/results/corpus_scale.md` page.
+fn markdown(n: &Numbers) -> String {
     let mut md = String::from(
         "# Corpus scaling sweep\n\n\
          Generated by `cargo bench -p jportal-bench --bench corpus_scale`.\n\n\
@@ -342,11 +285,7 @@ fn write_markdown(n: &Numbers) {
         n.swar_ns,
         n.swar_speedup(),
     ));
-    if let Err(e) = std::fs::write(&path, &md) {
-        eprintln!("docs/results/corpus_scale.md not written: {e}");
-    } else {
-        println!("docs/results/corpus_scale.md regenerated");
-    }
+    md
 }
 
 fn bench_corpus_scale(c: &mut Criterion) {
@@ -382,12 +321,13 @@ fn bench_corpus_scale(c: &mut Criterion) {
         .collect();
     let forbidden = forbidden_keys(&baselines, anchor_len);
 
-    let sizes: &[usize] = if quick() {
+    let mode = Mode::from_env();
+    let sizes: &[usize] = if mode.quick {
         &[1_000, 10_000, 100_000]
     } else {
         &[1_000, 10_000, 100_000, 1_000_000]
     };
-    let reps = if quick() { 3 } else { 9 };
+    let reps = if mode.quick { 3 } else { 9 };
 
     let mut rng = Rng(0x1CEB00DA);
     let mut points = Vec::new();
@@ -457,8 +397,8 @@ fn bench_corpus_scale(c: &mut Criterion) {
     }
 
     let medians: Vec<f64> = points.iter().map(|p| p.analyze_total_s).collect();
-    let latency_ratio = medians.iter().cloned().fold(0.0, f64::max)
-        / medians.iter().cloned().fold(f64::MAX, f64::min).max(1e-12);
+    let latency_ratio =
+        medians.iter().cloned().fold(0.0, f64::max) / gate::min(&medians).max(1e-12);
 
     // SWAR vs scalar on a long shared tail: the regime the in-run
     // tier_suffix hits on every candidate, far past the 8-sym word size.
@@ -533,8 +473,7 @@ fn bench_corpus_scale(c: &mut Criterion) {
         swar_ns: find("suffix_swar").min_ns,
         scalar_ns: find("suffix_scalar").min_ns,
     };
-    write_report(&numbers);
-    write_markdown(&numbers);
+    write_report(mode, &numbers);
 }
 
 criterion_group!(benches, bench_corpus_scale);

@@ -2,45 +2,22 @@
 //! reconstructed per-thread control flow out (decode → project →
 //! recover), on a lossy multi-mode workload.
 //!
-//! Besides the criterion groups, this bench writes `BENCH_e2e.json` at
-//! the repo root: the median end-to-end analysis wall time and the
-//! journal/telemetry overhead delta (observability on vs off, median of
-//! paired order-alternated runs), so CI keeps a machine-readable record
-//! of both numbers per commit. A run that regresses the committed median
-//! by more than 10% refuses to overwrite the file unless forced
-//! (`--force` or `JPORTAL_BENCH_FORCE=1`), so the committed trajectory
-//! can only improve or hold; quick-mode runs (5 reps, too noisy to be a
-//! baseline) report against the committed file but never rewrite it.
+//! Besides the criterion groups, this bench maintains `BENCH_e2e.json`
+//! at the repo root under the shared baseline protocol
+//! (`jportal_bench::gate`): the median end-to-end analysis wall time and
+//! the journal/telemetry overhead delta (observability on vs off, median
+//! of paired order-alternated runs), so CI keeps a machine-readable
+//! record of both numbers per commit. A median more than 10% over the
+//! committed one, or a large-trace median and throughput that both
+//! regress >10%, refuses the overwrite in a full run; neither fails a
+//! quick run.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use jportal_bench::gate::{self, Baseline, Mode};
 use jportal_core::{JPortal, JPortalConfig};
 use jportal_jvm::runtime::{Jvm, JvmConfig};
 use jportal_workloads::workload_by_name;
 use std::time::Instant;
-
-fn quick() -> bool {
-    std::env::var("JPORTAL_BENCH_QUICK")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
-
-fn force() -> bool {
-    std::env::var("JPORTAL_BENCH_FORCE")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-        || std::env::args().any(|a| a == "--force")
-}
-
-/// Pulls `"key": <number>` out of the committed JSON (no parser dep).
-fn json_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
 
 /// The large-trace subject: a lossless high-scale run that decodes to
 /// over a million trace events, exercising the pipeline in the regime
@@ -63,7 +40,7 @@ impl LargeNumbers {
 }
 
 /// Runs and measures the ≥1M-event configuration.
-fn measure_large() -> LargeNumbers {
+fn measure_large(mode: Mode) -> LargeNumbers {
     let (name, scale) = ("lusearch", 130);
     let w = workload_by_name(name, scale);
     let r = Jvm::new(JvmConfig {
@@ -81,31 +58,31 @@ fn measure_large() -> LargeNumbers {
         eprintln!("FAILED: large-trace config decoded {events} events (< {LARGE_EVENT_FLOOR})");
         std::process::exit(1);
     }
-    let reps = if quick() { 3 } else { 9 };
-    let mut times = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        criterion::black_box(jp.analyze(traces, &r.archive));
-        times.push(t0.elapsed().as_secs_f64());
-    }
-    times.sort_by(f64::total_cmp);
+    let reps = if mode.quick { 3 } else { 9 };
+    let times: Vec<f64> = (0..reps)
+        .map(|_| {
+            let t0 = Instant::now();
+            criterion::black_box(jp.analyze(traces, &r.archive));
+            t0.elapsed().as_secs_f64()
+        })
+        .collect();
     LargeNumbers {
         workload: name,
         scale,
         events,
-        median_s: times[times.len() / 2],
+        median_s: gate::median(&times),
     }
 }
 
-/// Measures the end-to-end medians and writes `BENCH_e2e.json` two
-/// levels above the bench crate (the repo root).
+/// Measures the end-to-end medians and commits `BENCH_e2e.json`.
 fn write_e2e_report(
+    mode: Mode,
     w: &jportal_workloads::Workload,
     r: &jportal_jvm::RunResult,
     large: &LargeNumbers,
 ) {
     let traces = r.traces.as_ref().unwrap();
-    let reps = if quick() { 5 } else { 15 };
+    let reps = if mode.quick { 5 } else { 15 };
     let build = |observability: bool| {
         JPortal::with_config(
             &w.program,
@@ -115,114 +92,69 @@ fn write_e2e_report(
             },
         )
     };
-    let jp_off = build(false);
-    let jp_on = build(true);
-    let measure = |jp: &JPortal| -> f64 {
-        let t0 = Instant::now();
-        criterion::black_box(jp.analyze(traces, &r.archive));
-        t0.elapsed().as_secs_f64()
-    };
-    measure(&jp_off); // warm-up
-    measure(&jp_on);
-    // Paired, order-alternated samples (same scheme as `observe
-    // --overhead`): clock drift hits both sides of a pair equally and
-    // the median discards outlier reps.
-    let mut off = Vec::with_capacity(reps);
-    let mut on = Vec::with_capacity(reps);
-    for i in 0..reps {
-        if i % 2 == 0 {
-            off.push(measure(&jp_off));
-            on.push(measure(&jp_on));
-        } else {
-            on.push(measure(&jp_on));
-            off.push(measure(&jp_off));
-        }
-    }
-    let median = |v: &mut Vec<f64>| -> f64 {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
-    let off_median = median(&mut off);
-    let on_median = median(&mut on);
+    let (jp_off, jp_on) = (build(false), build(true));
+    // Same pairing as `observe --overhead`; the median discards outlier reps.
+    let (off, on) = gate::paired(
+        reps,
+        || jp_off.analyze(traces, &r.archive),
+        || jp_on.analyze(traces, &r.archive),
+    );
+    let off_median = gate::median(&off);
+    let on_median = gate::median(&on);
     let delta = on_median / off_median - 1.0;
-
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_e2e.json");
-    if let Ok(json) = std::fs::read_to_string(&path) {
-        let committed = json_number(&json, "e2e_median_seconds");
-        if let Some(committed) = committed {
-            if off_median > committed * 1.10 && !force() {
-                println!(
-                    "BENCH_e2e.json NOT overwritten: median {:.3} ms regresses the committed \
-                     {:.3} ms by >10% (rerun with --force or JPORTAL_BENCH_FORCE=1)",
-                    off_median * 1e3,
-                    committed * 1e3
-                );
-                return;
-            }
-        }
-        // Dual-signal gate on the large entry: wall time alone is not a
-        // regression when the event count moved with it, so the committed
-        // file is only protected when the median worsens >10% *and* the
-        // per-event throughput drops >10% too.
-        let base_large = json_number(&json, "large_median_seconds");
-        let base_eps = json_number(&json, "large_events_per_second");
-        if let (Some(bm), Some(be)) = (base_large, base_eps) {
-            let slower = large.median_s > bm * 1.10;
-            let less_throughput = large.events_per_second() < be * 0.90;
-            if slower && less_throughput && !force() {
-                println!(
-                    "BENCH_e2e.json NOT overwritten: large-trace median {:.1} ms and \
-                     throughput {:.0} ev/s both regress >10% (committed {:.1} ms, {:.0} ev/s)",
-                    large.median_s * 1e3,
-                    large.events_per_second(),
-                    bm * 1e3,
-                    be
-                );
-                return;
-            }
-        }
-        // Quick-mode medians are too noisy to become the committed
-        // baseline: report against it, never rewrite it.
-        if committed.is_some() && quick() && !force() {
-            println!(
-                "BENCH_e2e.json kept (quick mode): measured median {:.3} ms vs committed {:.3} ms",
-                off_median * 1e3,
-                committed.unwrap_or(0.0) * 1e3
-            );
-            return;
-        }
-    }
-
-    let json = format!(
-        "{{\n  \"workload\": \"{}\",\n  \"iterations\": {reps},\n  \
-         \"e2e_median_seconds\": {off_median:.6},\n  \
-         \"e2e_with_journal_median_seconds\": {on_median:.6},\n  \
-         \"journal_overhead_delta\": {delta:.4},\n  \
-         \"large_workload\": \"{}@{}\",\n  \
-         \"large_total_events\": {},\n  \
-         \"large_median_seconds\": {:.6},\n  \
-         \"large_events_per_second\": {:.0}\n}}\n",
-        w.name,
-        large.workload,
-        large.scale,
+    println!(
+        "e2e: median {:.3} ms, journal overhead {:+.1}%, large trace {} events at {:.0} ev/s",
+        off_median * 1e3,
+        delta * 100.0,
         large.events,
-        large.median_s,
         large.events_per_second()
     );
-    if let Err(e) = std::fs::write(&path, &json) {
-        eprintln!("BENCH_e2e.json not written: {e}");
-    } else {
-        println!(
-            "BENCH_e2e.json: e2e median {:.3} ms, journal overhead {:+.1}%, \
-             large trace {} events at {:.0} ev/s",
-            off_median * 1e3,
-            delta * 100.0,
-            large.events,
-            large.events_per_second()
-        );
+
+    let mut base = Baseline::open("BENCH_e2e.json", mode);
+    if let Some(committed) = base.number("e2e_median_seconds") {
+        if off_median > committed * 1.10 {
+            base.regress(&format!(
+                "median {:.3} ms regresses the committed {:.3} ms by >10%",
+                off_median * 1e3,
+                committed * 1e3
+            ));
+        }
     }
+    // Dual signal on the large entry: wall time alone is not a
+    // regression when the event count moved with it, so it needs the
+    // median worse by >10% *and* the per-event throughput down >10%.
+    if let (Some(bm), Some(be)) = (
+        base.number("large_median_seconds"),
+        base.number("large_events_per_second"),
+    ) {
+        if large.median_s > bm * 1.10 && large.events_per_second() < be * 0.90 {
+            base.regress(&format!(
+                "large-trace median {:.1} ms and throughput {:.0} ev/s both regress >10% \
+                 (committed {:.1} ms, {:.0} ev/s)",
+                large.median_s * 1e3,
+                large.events_per_second(),
+                bm * 1e3,
+                be
+            ));
+        }
+    }
+    base.commit(&[
+        ("workload", format!("\"{}\"", w.name)),
+        ("iterations", reps.to_string()),
+        ("e2e_median_seconds", format!("{off_median:.6}")),
+        ("e2e_with_journal_median_seconds", format!("{on_median:.6}")),
+        ("journal_overhead_delta", format!("{delta:.4}")),
+        (
+            "large_workload",
+            format!("\"{}@{}\"", large.workload, large.scale),
+        ),
+        ("large_total_events", large.events.to_string()),
+        ("large_median_seconds", format!("{:.6}", large.median_s)),
+        (
+            "large_events_per_second",
+            format!("{:.0}", large.events_per_second()),
+        ),
+    ]);
 }
 
 fn bench_e2e(c: &mut Criterion) {
@@ -248,8 +180,9 @@ fn bench_e2e(c: &mut Criterion) {
     });
     g.finish();
 
-    let large = measure_large();
-    write_e2e_report(&w, &r, &large);
+    let mode = Mode::from_env();
+    let large = measure_large(mode);
+    write_e2e_report(mode, &w, &r, &large);
 }
 
 criterion_group!(benches, bench_e2e);

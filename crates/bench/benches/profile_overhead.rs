@@ -9,68 +9,34 @@
 //!   too). Budget: <2% on full runs — the profiler's whole point is to
 //!   be left on.
 //!
-//! Like the other bench gates, `JPORTAL_BENCH_GATE=1` turns a breach
-//! into a hard failure for CI, and the overhead check requires BOTH
-//! signals before it trips: the absolute budget, and a >5-point
-//! regression of the committed `profile_overhead_delta`. A real
-//! overhead regression moves both; scheduler noise on a shared vCPU
-//! moves only the absolute one. Ungated runs report the breach and
-//! refuse to overwrite the baseline instead of failing. As elsewhere, a
-//! run that regresses the committed baseline median by >10% refuses to
-//! overwrite the file unless forced (`--force` / `JPORTAL_BENCH_FORCE=1`),
-//! and quick-mode runs (`JPORTAL_BENCH_QUICK=1`) report against the
-//! committed file but never rewrite it.
+//! The baseline follows the shared protocol (`jportal_bench::gate`).
+//! The overhead check requires BOTH signals before it counts as a
+//! breach: the absolute budget, and a >5-point regression of the
+//! committed `profile_overhead_delta`. A real overhead regression moves
+//! both; scheduler noise on a shared vCPU moves only the absolute one.
+//! An off-side median more than 10% over the committed one is a
+//! regression.
 //!
 //! Report equality with the profiler on is asserted unconditionally —
 //! that is a correctness contract, not a perf budget.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use jportal_bench::gate::{self, Baseline, Mode};
 use jportal_core::{JPortal, JPortalConfig};
 use jportal_jvm::runtime::{Jvm, JvmConfig};
 use jportal_obs::{Obs, ProfileConfig, Profiler};
 use jportal_workloads::workload_by_name;
-use std::time::Instant;
 
 /// Budget on the sampler-on analysis overhead. Quick mode (7 reps on
 /// shared CI vCPUs) is too noisy for the real line, so it gets a
 /// relaxed smoke budget; the 2% claim is enforced by full runs and by
 /// the committed `BENCH_profile.json`.
-fn overhead_budget() -> f64 {
-    if quick() {
+fn overhead_budget(mode: Mode) -> f64 {
+    if mode.quick {
         0.10
     } else {
         0.02
     }
-}
-
-fn gate() -> bool {
-    std::env::var("JPORTAL_BENCH_GATE")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
-
-fn quick() -> bool {
-    std::env::var("JPORTAL_BENCH_QUICK")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
-
-fn force() -> bool {
-    std::env::var("JPORTAL_BENCH_FORCE")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-        || std::env::args().any(|a| a == "--force")
-}
-
-/// Pulls `"key": <number>` out of the committed JSON (no parser dep).
-fn json_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 struct ProfileNumbers {
@@ -113,64 +79,36 @@ fn measure(reps: usize) -> ProfileNumbers {
         std::process::exit(1);
     }
 
-    let time = |jp: &JPortal| -> f64 {
-        let t0 = Instant::now();
-        criterion::black_box(jp.analyze(traces, &r.archive));
-        t0.elapsed().as_secs_f64()
-    };
-    // Order-alternated samples, gated on the ratio of per-side minima:
-    // the sampler's cost is systematic while scheduler interference is
-    // strictly additive, so the fastest rep on each side isolates the
-    // real delta — medians of a dozen reps on a shared vCPU swing ±5%
-    // run to run, minima hold steady.
-    let mut off = Vec::with_capacity(reps);
-    let mut on = Vec::with_capacity(reps);
-    for i in 0..reps {
-        let (a, b) = if i % 2 == 0 {
-            let a = time(&jp_off);
-            (a, time(&jp_on))
-        } else {
-            let b = time(&jp_on);
-            (time(&jp_off), b)
-        };
-        off.push(a);
-        on.push(b);
-    }
+    // Gated on the ratio of per-side minima: the sampler's cost is
+    // systematic while scheduler interference is strictly additive, so
+    // the fastest rep on each side isolates the real delta — medians of
+    // a dozen reps on a shared vCPU swing ±5% run to run, minima hold
+    // steady.
+    let (off, on) = gate::paired(
+        reps,
+        || jp_off.analyze(traces, &r.archive),
+        || jp_on.analyze(traces, &r.archive),
+    );
 
     let snap = jp_on.profiler().expect("profiling on").snapshot();
-    let median = |v: &mut Vec<f64>| -> f64 {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
-    let off_min = off.iter().copied().fold(f64::INFINITY, f64::min);
-    let on_min = on.iter().copied().fold(f64::INFINITY, f64::min);
-    let off_median = median(&mut off);
-    let on_median = median(&mut on);
     ProfileNumbers {
-        off_median,
-        on_median,
-        delta: on_min / off_min - 1.0,
+        off_median: gate::median(&off),
+        on_median: gate::median(&on),
+        delta: gate::min(&on) / gate::min(&off) - 1.0,
         samples: snap.samples,
         stacks: snap.stacks.len(),
     }
 }
 
-fn write_profile_report(n: &ProfileNumbers, reps: usize) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_profile.json");
-    let committed = std::fs::read_to_string(&path).ok();
-    let committed_delta = committed
-        .as_deref()
-        .and_then(|j| json_number(j, "profile_overhead_delta"));
-    let committed_off = committed
-        .as_deref()
-        .and_then(|j| json_number(j, "e2e_off_median_seconds"));
+fn write_profile_report(mode: Mode, n: &ProfileNumbers, reps: usize) {
+    let mut base = Baseline::open("BENCH_profile.json", mode);
+    let committed_delta = base.number("profile_overhead_delta");
+    let budget = overhead_budget(mode);
     println!(
         "profile_overhead gate: overhead {:+.1}% (budget {:.0}%, committed {:+.1}%), \
          {} samples over {} stacks",
         n.delta * 100.0,
-        overhead_budget() * 100.0,
+        budget * 100.0,
         committed_delta.unwrap_or(0.0) * 100.0,
         n.samples,
         n.stacks
@@ -179,79 +117,37 @@ fn write_profile_report(n: &ProfileNumbers, reps: usize) {
     // Dual-signal overhead check: a breach needs the absolute budget
     // AND a >5-point regression of the committed delta (absent a
     // committed file the budget alone decides).
-    let mut breached = false;
-    if n.delta > overhead_budget() && committed_delta.map(|c| n.delta > c + 0.05).unwrap_or(true) {
-        eprintln!(
-            "FAILED: sampler-on overhead {:+.1}% exceeds the {:.0}% budget and regresses \
+    if n.delta > budget && committed_delta.is_none_or(|c| n.delta > c + 0.05) {
+        base.fail(&format!(
+            "sampler-on overhead {:+.1}% exceeds the {:.0}% budget and regresses \
              the committed {:+.1}% by >5 points",
             n.delta * 100.0,
-            overhead_budget() * 100.0,
+            budget * 100.0,
             committed_delta.unwrap_or(0.0) * 100.0
-        );
-        breached = true;
+        ));
     }
     if n.samples == 0 {
-        eprintln!("FAILED: the sampler collected no samples during the measured reps");
-        breached = true;
+        base.fail("the sampler collected no samples during the measured reps");
     }
-    if breached {
-        if gate() {
-            std::process::exit(1);
-        }
-        if !force() {
-            println!(
-                "BENCH_profile.json NOT overwritten: budget breached (see FAILED lines above)"
-            );
-            return;
-        }
-    }
-
-    if let Some(committed) = committed_off {
-        if n.off_median > committed * 1.10 && !force() {
-            println!(
-                "BENCH_profile.json NOT overwritten: baseline median {:.3} ms regresses the \
-                 committed {:.3} ms by >10% (rerun with --force or JPORTAL_BENCH_FORCE=1)",
+    if let Some(committed) = base.number("e2e_off_median_seconds") {
+        if n.off_median > committed * 1.10 {
+            base.regress(&format!(
+                "baseline median {:.3} ms regresses the committed {:.3} ms by >10%",
                 n.off_median * 1e3,
                 committed * 1e3
-            );
-            return;
-        }
-        // Quick-mode runs are too noisy to become the baseline.
-        if quick() && !force() {
-            println!(
-                "BENCH_profile.json kept (quick mode): overhead {:+.1}%, {} samples \
-                 (committed baseline {:.3} ms)",
-                n.delta * 100.0,
-                n.samples,
-                committed * 1e3
-            );
-            return;
+            ));
         }
     }
-
-    let json = format!(
-        "{{\n  \"workload\": \"luindex@48\",\n  \"iterations\": {reps},\n  \
-         \"sampler_hz\": 997,\n  \
-         \"e2e_off_median_seconds\": {:.6},\n  \
-         \"e2e_profiled_median_seconds\": {:.6},\n  \
-         \"profile_overhead_delta\": {:.4},\n  \
-         \"samples\": {},\n  \
-         \"stacks\": {}\n}}\n",
-        n.off_median, n.on_median, n.delta, n.samples, n.stacks
-    );
-    if let Err(e) = std::fs::write(&path, &json) {
-        eprintln!("BENCH_profile.json not written: {e}");
-    } else {
-        println!(
-            "BENCH_profile.json: off {:.3} ms, profiled {:.3} ms ({:+.1}%), \
-             {} samples over {} stacks",
-            n.off_median * 1e3,
-            n.on_median * 1e3,
-            n.delta * 100.0,
-            n.samples,
-            n.stacks
-        );
-    }
+    base.commit(&[
+        ("workload", "\"luindex@48\"".to_string()),
+        ("iterations", reps.to_string()),
+        ("sampler_hz", "997".to_string()),
+        ("e2e_off_median_seconds", format!("{:.6}", n.off_median)),
+        ("e2e_profiled_median_seconds", format!("{:.6}", n.on_median)),
+        ("profile_overhead_delta", format!("{:.4}", n.delta)),
+        ("samples", n.samples.to_string()),
+        ("stacks", n.stacks.to_string()),
+    ]);
 }
 
 /// Micro-costs of the sampling machinery: one profiled span open+close
@@ -286,9 +182,10 @@ fn bench_profile(c: &mut Criterion) {
     }
     g.finish();
 
-    let reps = if quick() { 7 } else { 31 };
+    let mode = Mode::from_env();
+    let reps = if mode.quick { 7 } else { 31 };
     let numbers = measure(reps);
-    write_profile_report(&numbers, reps);
+    write_profile_report(mode, &numbers, reps);
 }
 
 criterion_group!(benches, bench_profile);

@@ -11,17 +11,16 @@
 //!
 //! Besides the criterion groups, this bench maintains
 //! `BENCH_summary_pruning.json` at the repo root and regenerates
-//! `docs/results/summary_pruning.md` (per-workload prune-rate table).
-//! The gate follows `pt_codec.rs`' protocol — refuse to overwrite on
-//! regression (`--force` / `JPORTAL_BENCH_FORCE=1` overrides),
-//! `JPORTAL_BENCH_GATE=1` fails CI — but needs only a single signal: the
-//! recovery prune rate is a deterministic property of the analysis, so
-//! a drop of more than 20% (relative) from the committed baseline is a
-//! real regression, not noise. Timings are recorded for context and
-//! never gate.
+//! `docs/results/summary_pruning.md` (per-workload prune-rate table)
+//! under the shared baseline protocol (`jportal_bench::gate`). It gates
+//! on a single signal: the recovery prune rate is a deterministic
+//! property of the analysis, so a drop of more than 20% (relative) from
+//! the committed baseline is a real regression, not noise. Timings are
+//! recorded for context and never gate.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use jportal_analysis::SummaryTable;
+use jportal_bench::gate::{Baseline, Mode};
 use jportal_cfg::Icfg;
 use jportal_core::{JPortal, JPortalConfig, JPortalReport};
 use jportal_jvm::runtime::{Jvm, JvmConfig};
@@ -49,36 +48,6 @@ fn config(summaries: bool) -> JPortalConfig {
         summaries,
         ..JPortalConfig::default()
     }
-}
-
-fn quick() -> bool {
-    std::env::var("JPORTAL_BENCH_QUICK")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
-
-fn force() -> bool {
-    std::env::var("JPORTAL_BENCH_FORCE")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-        || std::env::args().any(|a| a == "--force")
-}
-
-fn gate() -> bool {
-    std::env::var("JPORTAL_BENCH_GATE")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
-
-/// Pulls `"key": <number>` out of the baseline JSON (no parser dep).
-fn json_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// Everything the ablation extracts from one subject's on/off run pair.
@@ -159,46 +128,21 @@ impl AblationNumbers {
     }
 }
 
-fn repo_root() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
-/// Writes `BENCH_summary_pruning.json`, refusing to record a prune-rate
-/// regression, and failing under `JPORTAL_BENCH_GATE=1` when the overall
-/// recovery prune rate drops >20% (relative) below the committed file.
+/// Commits `BENCH_summary_pruning.json` and regenerates
+/// `docs/results/summary_pruning.md`; an overall recovery prune rate
+/// more than 20% (relative) below the committed one is a breach.
 fn write_report(n: &AblationNumbers) {
     let rate = n.overall_rate();
-    let path = repo_root().join("BENCH_summary_pruning.json");
-    let committed = std::fs::read_to_string(&path).ok();
-
-    if let Some(j) = committed.as_deref() {
-        let base = json_number(j, "recovery_prune_rate");
-        println!(
-            "summary_pruning gate: prune rate {rate:.3} (committed {:.3})",
-            base.unwrap_or(0.0)
-        );
-        if base.map(|b| rate < 0.80 * b).unwrap_or(false) {
-            if gate() {
-                eprintln!("FAILED: recovery prune rate regressed >20% from the committed baseline");
-                std::process::exit(1);
-            }
-            if !force() {
-                println!(
-                    "BENCH_summary_pruning.json NOT overwritten (regression; \
-                     rerun with --force or JPORTAL_BENCH_FORCE=1)"
-                );
-                return;
-            }
-        }
+    let mut base = Baseline::open("BENCH_summary_pruning.json", Mode::from_env());
+    let committed = base.number("recovery_prune_rate");
+    println!(
+        "summary_pruning gate: prune rate {rate:.3} (committed {:.3})",
+        committed.unwrap_or(0.0)
+    );
+    if committed.is_some_and(|b| rate < 0.80 * b) {
+        base.fail("recovery prune rate regressed >20% from the committed baseline");
     }
-
-    // Quick-mode timings are too noisy to become the committed baseline:
-    // gate against it, never rewrite it. (The prune rate itself is
-    // deterministic, but the file carries timings too.)
-    if quick() && committed.is_some() {
-        return;
-    }
-
+    base.commit_doc("docs/results/summary_pruning.md", &markdown(n));
     let per_subject: Vec<String> = n
         .subjects
         .iter()
@@ -215,37 +159,23 @@ fn write_report(n: &AblationNumbers) {
             )
         })
         .collect();
-    let json = format!(
-        "{{\n  \"recovery_prune_rate\": {:.3},\n  \
-         \"summary_build_mean_ns\": {:.1},\n  \
-         \"analyze_on_mean_ns\": {:.1},\n  \"analyze_on_min_ns\": {:.1},\n  \
-         \"analyze_off_mean_ns\": {:.1},\n  \"analyze_off_min_ns\": {:.1},\n  \
-         \"analyze_min_ratio_off_over_on\": {:.3},\n  \
-         \"subjects\": [\n{}\n  ]\n}}\n",
-        rate,
-        n.build_mean_ns,
-        n.on_mean_ns,
-        n.on_min_ns,
-        n.off_mean_ns,
-        n.off_min_ns,
-        n.off_min_ns / n.on_min_ns.max(1.0),
-        per_subject.join(",\n"),
-    );
-    if let Err(e) = std::fs::write(&path, &json) {
-        eprintln!("BENCH_summary_pruning.json not written: {e}");
-    } else {
-        println!("BENCH_summary_pruning.json: prune rate {rate:.3}");
-    }
+    base.commit(&[
+        ("recovery_prune_rate", format!("{rate:.3}")),
+        ("summary_build_mean_ns", format!("{:.1}", n.build_mean_ns)),
+        ("analyze_on_mean_ns", format!("{:.1}", n.on_mean_ns)),
+        ("analyze_on_min_ns", format!("{:.1}", n.on_min_ns)),
+        ("analyze_off_mean_ns", format!("{:.1}", n.off_mean_ns)),
+        ("analyze_off_min_ns", format!("{:.1}", n.off_min_ns)),
+        (
+            "analyze_min_ratio_off_over_on",
+            format!("{:.3}", n.off_min_ns / n.on_min_ns.max(1.0)),
+        ),
+        ("subjects", format!("[\n{}\n  ]", per_subject.join(",\n"))),
+    ]);
 }
 
-/// Regenerates `docs/results/summary_pruning.md`. Skipped in quick mode
-/// when the file exists — CI smoke runs must not overwrite committed
-/// numbers with short-window timings.
-fn write_markdown(n: &AblationNumbers) {
-    let path = repo_root().join("docs/results/summary_pruning.md");
-    if quick() && path.exists() {
-        return;
-    }
+/// The `docs/results/summary_pruning.md` page.
+fn markdown(n: &AblationNumbers) -> String {
     let mut md = String::from(
         "# Interprocedural summary pruning (ablation)\n\n\
          Generated by `cargo bench -p jportal-bench --bench summary_pruning`.\n\n\
@@ -269,7 +199,7 @@ fn write_markdown(n: &AblationNumbers) {
     }
     md.push_str(&format!(
         "\nOverall recovery prune rate: **{:.1}%** (gated: a >20% relative\n\
-         drop fails `JPORTAL_BENCH_GATE=1` runs).\n\n\
+         drop fails quick runs and refuses full-run rewrites).\n\n\
          | measurement | mean | min |\n|---|---|---|\n\
          | summary fixpoint build | {:.2} ms | — |\n\
          | analyze, summaries on | {:.2} ms | {:.2} ms |\n\
@@ -281,11 +211,7 @@ fn write_markdown(n: &AblationNumbers) {
         n.off_mean_ns / 1e6,
         n.off_min_ns / 1e6,
     ));
-    if let Err(e) = std::fs::write(&path, &md) {
-        eprintln!("docs/results/summary_pruning.md not written: {e}");
-    } else {
-        println!("docs/results/summary_pruning.md regenerated");
-    }
+    md
 }
 
 fn bench_summary_pruning(c: &mut Criterion) {
@@ -332,7 +258,6 @@ fn bench_summary_pruning(c: &mut Criterion) {
         off_min_ns: off.min_ns,
     };
     write_report(&numbers);
-    write_markdown(&numbers);
 }
 
 criterion_group!(benches, bench_summary_pruning);

@@ -6,7 +6,9 @@
 //!
 //! * [`paper`] — the published numbers (Tables 1–5, Figure 7), typed;
 //! * [`harness`] — workload execution at evaluation scale, buffer/drain
-//!   calibration, and table formatting.
+//!   calibration, and table formatting;
+//! * [`gate`] — the committed-baseline protocol of the gated benches.
 
+pub mod gate;
 pub mod harness;
 pub mod paper;
