@@ -469,13 +469,15 @@ pub fn lint_steps_summarized(
 
         if let Some((p, p_dir, p_op)) = prev {
             let from = icfg.location(p);
-            let to_edges: Vec<EdgeKind> = icfg
-                .edges(p)
-                .iter()
-                .filter(|e| e.to == node)
-                .map(|e| e.kind)
-                .collect();
-            if to_edges.is_empty() {
+            // Edge kinds from `p` to `node`, re-iterated rather than
+            // collected: the list is only materialized for a diagnostic.
+            let to_edges = || {
+                icfg.edges(p)
+                    .iter()
+                    .filter(move |e| e.to == node)
+                    .map(|e| e.kind)
+            };
+            if to_edges().next().is_none() {
                 out.push(LintDiagnostic {
                     kind: LintKind::MissingEdge,
                     index: i,
@@ -487,7 +489,7 @@ pub fn lint_steps_summarized(
                     ),
                 });
             } else {
-                let taken = to_edges.iter().copied().find(|k| k.compatible_with(p_dir));
+                let taken = to_edges().find(|k| k.compatible_with(p_dir));
                 match taken {
                     None => out.push(LintDiagnostic {
                         kind: LintKind::BranchContradiction,
@@ -496,7 +498,10 @@ pub fn lint_steps_summarized(
                         at,
                         detail: format!(
                             "edge(s) {:?} from {:?}:{} exist but none compatible with direction `{}`",
-                            to_edges, from.0, from.1 .0, p_dir
+                            to_edges().collect::<Vec<EdgeKind>>(),
+                            from.0,
+                            from.1 .0,
+                            p_dir
                         ),
                     }),
                     Some(EdgeKind::Call) => {
@@ -785,6 +790,11 @@ mod tests {
         let diags = lint_steps(&p, &icfg, &steps);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].kind, LintKind::BranchContradiction);
+        // The full message, edge list included, is part of the report.
+        assert_eq!(
+            diags[0].detail,
+            "edge(s) [Taken] from MethodId(1):5 exist but none compatible with direction `0`"
+        );
     }
 
     #[test]

@@ -16,7 +16,7 @@ use jportal_bytecode::{Bci, MethodId, Program};
 use jportal_cfg::{BranchDir, Sym};
 use jportal_ipt::ring::LossRecord;
 use jportal_ipt::{Packet, RawSegment};
-use jportal_jvm::MetadataArchive;
+use jportal_jvm::{MetadataArchive, MiKind};
 use std::collections::VecDeque;
 
 /// One decoded bytecode occurrence.
@@ -64,15 +64,111 @@ impl BcSegment {
     }
 }
 
+/// Row index meaning "the walk leaves the code image here": the transfer
+/// target lies outside the blob or not at an instruction start, or the
+/// instruction is an indirect transfer whose target only the next TIP
+/// names.
+const EXIT: u32 = u32::MAX;
+
+/// The bytecode event a machine instruction stands for, resolved once
+/// from its debug record.
+#[derive(Debug, Clone, Copy)]
+struct JitEvent {
+    sym: Sym,
+    method: MethodId,
+    bci: Bci,
+    /// The bytecode taken target, for conditional branches only.
+    taken: Option<Bci>,
+}
+
+/// Where the walk goes after one machine instruction, as row indices.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Succ {
+    /// Fall-through, direct jump or direct call ([`EXIT`] for indirect
+    /// transfers and returns).
+    Next(u32),
+    /// Conditional branch: one TNT bit picks the successor.
+    Cond { taken: u32, not_taken: u32 },
+}
+
+/// One machine instruction of the walk tables.
+#[derive(Debug, Clone, Copy)]
+struct WalkRow {
+    /// `None` where degraded metadata has no record at this pc, or the
+    /// record's bci lies outside its method.
+    event: Option<JitEvent>,
+    succ: Succ,
+}
+
+/// Walk tables over every blob of a [`MetadataArchive`] (§3.2).
+///
+/// One row per machine instruction, holding the pre-resolved bytecode
+/// event and the successor rows, so walking JIT code costs one table
+/// step per instruction instead of binary searches over the code image
+/// and its debug records. Built once per analysis and shared read-only
+/// by the decode workers.
+#[derive(Debug, Clone)]
+pub struct WalkIndex {
+    /// First row of each blob, in archive order.
+    base: Vec<u32>,
+    rows: Vec<WalkRow>,
+}
+
+impl WalkIndex {
+    /// Resolves every blob of `archive` against `program`.
+    pub fn new(program: &Program, archive: &MetadataArchive) -> WalkIndex {
+        let mut base = Vec::with_capacity(archive.blobs.len());
+        let mut rows = Vec::new();
+        for archived in &archive.blobs {
+            let blob = &archived.compiled.blob;
+            let debug = &archived.compiled.debug;
+            let first = rows.len() as u32;
+            base.push(first);
+            let row_of = |addr: u64| blob.index_of(addr).map_or(EXIT, |i| first + i as u32);
+            for insn in blob.insns() {
+                let event = debug.at_exact(insn.addr).and_then(|rec| {
+                    let method = debug.method_of(rec.inline_id);
+                    let m = program.method(method);
+                    (rec.bci.index() < m.code.len()).then(|| {
+                        let insn_bc = m.insn(rec.bci);
+                        JitEvent {
+                            sym: Sym::of_instruction(insn_bc),
+                            method,
+                            bci: rec.bci,
+                            taken: insn_bc
+                                .is_conditional_branch()
+                                .then(|| insn_bc.branch_targets()[0]),
+                        }
+                    })
+                });
+                let succ = match insn.kind {
+                    MiKind::Other => Succ::Next(row_of(insn.next_addr())),
+                    MiKind::Jump { target } | MiKind::Call { target } => Succ::Next(row_of(target)),
+                    MiKind::CondBranch { target, .. } => Succ::Cond {
+                        taken: row_of(target),
+                        not_taken: row_of(insn.next_addr()),
+                    },
+                    MiKind::IndirectJump | MiKind::IndirectCall | MiKind::Ret => Succ::Next(EXIT),
+                };
+                rows.push(WalkRow { event, succ });
+            }
+        }
+        // Row indices are `u32`, with `EXIT` reserved.
+        assert!(rows.len() < EXIT as usize, "walk tables overflow u32 rows");
+        WalkIndex { base, rows }
+    }
+}
+
 /// Walker position inside JIT code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum WalkState {
     /// Not inside walkable code; waiting for a TIP to anchor.
     Idle,
-    /// Walking blob `archive index` at `pc`.
-    Jit { blob: usize, pc: u64 },
-    /// Paused at a conditional branch in a blob, waiting for a TNT bit.
-    JitAtCond { blob: usize, pc: u64 },
+    /// About to execute the instruction at walk-table row `.0`.
+    Jit(u32),
+    /// Paused at the conditional branch at row `.0`, waiting for a TNT
+    /// bit (its event is already emitted).
+    JitAtCond(u32),
 }
 
 /// Decodes one raw packet segment into bytecode events (§3).
@@ -81,7 +177,21 @@ enum WalkState {
 /// TNT bits (dropped at segment boundaries) and debug-info gaps degrade
 /// into skipped events rather than failures — the reconstruction and
 /// recovery stages deal with the consequences, exactly as in the paper.
+///
+/// Builds a [`WalkIndex`] for this one call; decoding many segments
+/// against one archive should build it once and use
+/// [`decode_segment_with`].
 pub fn decode_segment(program: &Program, archive: &MetadataArchive, raw: &RawSegment) -> BcSegment {
+    decode_segment_with(archive, &WalkIndex::new(program, archive), raw)
+}
+
+/// [`decode_segment`] over prebuilt walk tables (`index` must be built
+/// from the same `archive`).
+pub fn decode_segment_with(
+    archive: &MetadataArchive,
+    index: &WalkIndex,
+    raw: &RawSegment,
+) -> BcSegment {
     let mut out = BcSegment {
         events: Vec::new(),
         loss_before: raw.loss_before,
@@ -92,7 +202,8 @@ pub fn decode_segment(program: &Program, archive: &MetadataArchive, raw: &RawSeg
     let mut tnt: VecDeque<bool> = VecDeque::new();
     // Index of an interpreted conditional event awaiting its direction.
     let mut pending_dir: Option<usize> = None;
-    let mut last_jit_branch: Option<(usize, MethodId, Bci)> = None;
+    // Every JIT conditional event, with its bytecode taken target.
+    let mut jit_conds: Vec<(usize, Bci)> = Vec::new();
 
     for tp in raw.packets() {
         let ts = tp.ts;
@@ -105,28 +216,20 @@ pub fn decode_segment(program: &Program, archive: &MetadataArchive, raw: &RawSeg
                         out.events[idx].sym.dir = BranchDir::from_taken(bit);
                     }
                 }
-                state = drain_jit(
-                    program,
-                    archive,
-                    state,
-                    &mut tnt,
-                    &mut out,
-                    &mut last_jit_branch,
-                    ts,
-                );
+                state = drain_jit(index, state, &mut tnt, &mut out, &mut jit_conds, ts);
             }
             Packet::Tip { ip, .. } | Packet::TipPge { ip, .. } => {
                 pending_dir = None;
-                state = anchor(archive, templates, *ip, ts, &mut out, &mut pending_dir);
-                state = drain_jit(
-                    program,
+                state = anchor(
                     archive,
-                    state,
-                    &mut tnt,
-                    &mut out,
-                    &mut last_jit_branch,
+                    index,
+                    templates,
+                    *ip,
                     ts,
+                    &mut out,
+                    &mut pending_dir,
                 );
+                state = drain_jit(index, state, &mut tnt, &mut out, &mut jit_conds, ts);
             }
             Packet::TipPgd { .. } => {
                 state = WalkState::Idle;
@@ -147,13 +250,14 @@ pub fn decode_segment(program: &Program, archive: &MetadataArchive, raw: &RawSeg
             Packet::Psb | Packet::PsbEnd | Packet::Pad | Packet::Tsc { .. } => {}
         }
     }
-    resolve_jit_branch_dirs(program, &mut out);
+    resolve_jit_branch_dirs(&mut out, &jit_conds);
     out
 }
 
 /// Re-anchors the walker at a TIP target.
 fn anchor(
     archive: &MetadataArchive,
+    index: &WalkIndex,
     templates: &jportal_jvm::TemplateTable,
     ip: u64,
     ts: u64,
@@ -190,7 +294,10 @@ fn anchor(
         }
         WalkState::Idle
     } else if let Some(blob) = archive.lookup_index(ip, ts) {
-        WalkState::Jit { blob, pc: ip }
+        match archive.blobs[blob].compiled.blob.index_of(ip) {
+            Some(i) => WalkState::Jit(index.base[blob] + i as u32),
+            None => WalkState::Idle,
+        }
     } else {
         WalkState::Idle
     }
@@ -198,106 +305,64 @@ fn anchor(
 
 /// Advances a JIT walk as far as available TNT bits allow.
 fn drain_jit(
-    program: &Program,
-    archive: &MetadataArchive,
-    mut state: WalkState,
+    index: &WalkIndex,
+    state: WalkState,
     tnt: &mut VecDeque<bool>,
     out: &mut BcSegment,
-    last_jit_branch: &mut Option<(usize, MethodId, Bci)>,
+    jit_conds: &mut Vec<(usize, Bci)>,
     ts: u64,
 ) -> WalkState {
+    let (mut row, mut at_cond) = match state {
+        WalkState::Jit(row) => (row, false),
+        WalkState::JitAtCond(row) => (row, true),
+        WalkState::Idle => return WalkState::Idle,
+    };
     loop {
-        let (blob_idx, pc, at_cond) = match state {
-            WalkState::Jit { blob, pc } => (blob, pc, false),
-            WalkState::JitAtCond { blob, pc } => (blob, pc, true),
-            WalkState::Idle => return WalkState::Idle,
-        };
-        let archived = &archive.blobs[blob_idx];
-        let blob = &archived.compiled.blob;
-        let Some(insn) = blob.insn_at(pc) else {
-            return WalkState::Idle;
-        };
-
+        let r = &index.rows[row as usize];
         if !at_cond {
-            // Emit the bytecode event anchored at this pc, if the debug
-            // info still has a record here (degraded metadata loses some).
-            if let Some(rec) = archived.compiled.debug.at_exact(pc) {
-                let method = archived.compiled.debug.method_of(rec.inline_id);
-                let m = program.method(method);
-                if rec.bci.index() < m.code.len() {
-                    let insn_bc = m.insn(rec.bci);
-                    out.events.push(BcEvent {
-                        sym: Sym::of_instruction(insn_bc),
-                        method: Some(method),
-                        bci: Some(rec.bci),
-                        ts,
-                    });
-                    if insn_bc.is_conditional_branch() {
-                        *last_jit_branch = Some((out.events.len() - 1, method, rec.bci));
-                    }
+            // Emit the bytecode event anchored at this instruction, if
+            // the debug info still has a record here (degraded metadata
+            // loses some).
+            if let Some(ev) = r.event {
+                if let Some(taken) = ev.taken {
+                    jit_conds.push((out.events.len(), taken));
                 }
+                out.events.push(BcEvent {
+                    sym: ev.sym,
+                    method: Some(ev.method),
+                    bci: Some(ev.bci),
+                    ts,
+                });
             }
         }
-
-        use jportal_jvm::MiKind;
-        state = match insn.kind {
-            MiKind::Other => WalkState::Jit {
-                blob: blob_idx,
-                pc: insn.next_addr(),
+        at_cond = false;
+        row = match r.succ {
+            Succ::Next(next) => next,
+            Succ::Cond { taken, not_taken } => match tnt.pop_front() {
+                Some(true) => taken,
+                Some(false) => not_taken,
+                // Wait for more TNT bits at this instruction.
+                None => return WalkState::JitAtCond(row),
             },
-            MiKind::Jump { target } | MiKind::Call { target } => WalkState::Jit {
-                blob: blob_idx,
-                pc: target,
-            },
-            MiKind::CondBranch { target, .. } => match tnt.pop_front() {
-                Some(true) => WalkState::Jit {
-                    blob: blob_idx,
-                    pc: target,
-                },
-                Some(false) => WalkState::Jit {
-                    blob: blob_idx,
-                    pc: insn.next_addr(),
-                },
-                None => {
-                    // Wait for more TNT bits at this instruction.
-                    return WalkState::JitAtCond { blob: blob_idx, pc };
-                }
-            },
-            MiKind::IndirectJump | MiKind::IndirectCall | MiKind::Ret => {
-                // The next TIP re-anchors the walk.
-                return WalkState::Idle;
-            }
         };
-        if state == WalkState::Idle {
-            return state;
-        }
-        // Walking off the end of the blob ends the walk.
-        if let WalkState::Jit { pc, .. } = state {
-            if !blob.contains(pc) {
-                return WalkState::Idle;
-            }
+        if row == EXIT {
+            return WalkState::Idle;
         }
     }
 }
 
-/// Sets branch directions on JIT-decoded conditional events by looking at
-/// the event that follows: if it is the branch's taken target, the branch
+/// Sets branch directions on JIT-decoded conditional events (`jit_conds`
+/// holds each one's index and bytecode taken target) by looking at the
+/// event that follows: if it is the branch's taken target, the branch
 /// was taken; if it is the fall-through, it was not.
-fn resolve_jit_branch_dirs(program: &Program, seg: &mut BcSegment) {
-    for i in 0..seg.events.len() {
-        let (Some(method), Some(bci)) = (seg.events[i].method, seg.events[i].bci) else {
-            continue;
-        };
-        let insn = program.method(method).insn(bci);
-        if !insn.is_conditional_branch() {
-            continue;
-        }
-        let taken_target = insn.branch_targets()[0];
+fn resolve_jit_branch_dirs(seg: &mut BcSegment, jit_conds: &[(usize, Bci)]) {
+    for &(i, taken_target) in jit_conds {
+        let BcEvent { method, bci, .. } = seg.events[i];
         if let Some(next) = seg.events.get(i + 1) {
-            if next.method == Some(method) {
+            if next.method == method {
                 if next.bci == Some(taken_target) {
                     seg.events[i].sym.dir = BranchDir::Taken;
-                } else if next.bci == Some(bci.next()) {
+                } else if next.bci == bci.map(Bci::next) {
                     seg.events[i].sym.dir = BranchDir::NotTaken;
                 }
             }
@@ -542,5 +607,185 @@ mod tests {
         // Non-empty segments decode to valid events.
         let non_empty = segs.iter().filter(|s| !s.events.is_empty()).count();
         assert!(non_empty >= 2);
+    }
+
+    /// A one-blob archive with hand-written code and debug records
+    /// (`(pc offset, bci)` pairs in `fun`'s root frame), on the shell of
+    /// a real compilation of `fun`.
+    fn hand_archive(
+        program: &Program,
+        insns: &[(u8, MiKind)],
+        records: &[(u64, u32)],
+    ) -> MetadataArchive {
+        use jportal_jvm::code_cache::{ArchivedBlob, JIT_BASE, TEMPLATE_BASE};
+        use jportal_jvm::{CodeBlob, DebugRecord, DebugTable, JitConfig, JitTier, MachineInsn};
+        let (fun, _) = program
+            .methods()
+            .find(|(_, m)| m.name == "fun")
+            .expect("fun");
+        let mut compiled =
+            jportal_jvm::jit::compile(program, fun, JitTier::C1, JIT_BASE, &JitConfig::default());
+        let mut addr = JIT_BASE;
+        let code = insns
+            .iter()
+            .map(|&(len, kind)| {
+                let insn = MachineInsn { addr, len, kind };
+                addr += u64::from(len);
+                insn
+            })
+            .collect();
+        compiled.blob = CodeBlob::new(JIT_BASE, code);
+        let mut debug = DebugTable::new(fun);
+        for &(pc, bci) in records {
+            debug.push(DebugRecord {
+                pc: JIT_BASE + pc,
+                inline_id: 0,
+                bci: Bci(bci),
+            });
+        }
+        compiled.debug = debug;
+        MetadataArchive {
+            templates: jportal_jvm::TemplateTable::new(TEMPLATE_BASE),
+            blobs: vec![ArchivedBlob {
+                compiled,
+                active_from: 0,
+                active_to: None,
+            }],
+        }
+    }
+
+    /// Decodes an anchor at the blob's entry followed by eight TNT bits,
+    /// all `taken` or all not; returns the decoded bcis. Once the walk
+    /// has left the image the remaining bits go unconsumed.
+    fn walk_bcis(program: &Program, archive: &MetadataArchive, taken: bool) -> Vec<u32> {
+        use jportal_ipt::packet::{IpCompression, TntBits};
+        use jportal_ipt::TimedPacket;
+        let ip = jportal_jvm::code_cache::JIT_BASE;
+        let packets = vec![
+            TimedPacket {
+                packet: Packet::TipPge {
+                    compression: IpCompression::Full,
+                    ip,
+                },
+                offset: 0,
+                ts: 1,
+            },
+            TimedPacket {
+                packet: Packet::Tnt {
+                    bits: TntBits::from_raw(if taken { 0xff } else { 0 }, 8),
+                },
+                offset: 9,
+                ts: 1,
+            },
+        ];
+        let raw = RawSegment::from_packets(packets, None, 0);
+        decode_segment(program, archive, &raw)
+            .events
+            .iter()
+            .map(|e| e.bci.expect("JIT event").0)
+            .collect()
+    }
+
+    #[test]
+    fn walk_ends_at_a_jump_target_outside_the_blob() {
+        let p = paper_fun_program();
+        let a = hand_archive(
+            &p,
+            &[(4, MiKind::Other), (4, MiKind::Jump { target: 0x10 })],
+            &[(0, 0), (4, 6)],
+        );
+        let index = WalkIndex::new(&p, &a);
+        assert_eq!(index.rows[1].succ, Succ::Next(EXIT));
+        assert_eq!(walk_bcis(&p, &a, true), vec![0, 6]);
+    }
+
+    #[test]
+    fn walk_ends_at_a_jump_target_inside_an_instruction() {
+        let p = paper_fun_program();
+        let target = jportal_jvm::code_cache::JIT_BASE + 2;
+        let a = hand_archive(
+            &p,
+            &[(4, MiKind::Other), (4, MiKind::Jump { target })],
+            &[(0, 0), (4, 6)],
+        );
+        let index = WalkIndex::new(&p, &a);
+        assert_eq!(index.rows[1].succ, Succ::Next(EXIT));
+        assert_eq!(walk_bcis(&p, &a, true), vec![0, 6]);
+        // At an instruction start the same jump loops back, consuming
+        // nothing; a conditional in the loop then drains the TNT bits.
+        let base = jportal_jvm::code_cache::JIT_BASE;
+        let a = hand_archive(
+            &p,
+            &[
+                (
+                    4,
+                    MiKind::CondBranch {
+                        target: base + 8,
+                        taken_means_bytecode_taken: true,
+                    },
+                ),
+                (4, MiKind::Ret),
+                (4, MiKind::Jump { target: base }),
+            ],
+            &[(0, 1), (8, 6)],
+        );
+        let index = WalkIndex::new(&p, &a);
+        assert_eq!(index.rows[2].succ, Succ::Next(0));
+        assert_eq!(
+            walk_bcis(&p, &a, true),
+            [1, 6].repeat(8).into_iter().chain([1]).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn walk_ends_falling_through_off_the_blob_end() {
+        let p = paper_fun_program();
+        let base = jportal_jvm::code_cache::JIT_BASE;
+        let a = hand_archive(
+            &p,
+            &[
+                (4, MiKind::Other),
+                (
+                    4,
+                    MiKind::CondBranch {
+                        target: base,
+                        taken_means_bytecode_taken: true,
+                    },
+                ),
+            ],
+            &[(0, 0), (4, 1)],
+        );
+        let index = WalkIndex::new(&p, &a);
+        assert_eq!(
+            index.rows[1].succ,
+            Succ::Cond {
+                taken: 0,
+                not_taken: EXIT
+            }
+        );
+        assert_eq!(walk_bcis(&p, &a, false), vec![0, 1]);
+        // Taken, the branch loops once per bit and then waits.
+        assert_eq!(walk_bcis(&p, &a, true).len(), 18);
+        let a = hand_archive(
+            &p,
+            &[(4, MiKind::Other), (2, MiKind::Other)],
+            &[(0, 0), (4, 2)],
+        );
+        let index = WalkIndex::new(&p, &a);
+        assert_eq!(index.rows[1].succ, Succ::Next(EXIT));
+        assert_eq!(walk_bcis(&p, &a, true), vec![0, 2]);
+    }
+
+    #[test]
+    fn debug_record_with_out_of_range_bci_emits_nothing() {
+        let p = paper_fun_program();
+        let a = hand_archive(
+            &p,
+            &[(4, MiKind::Other), (4, MiKind::Other), (4, MiKind::Ret)],
+            &[(0, 0), (4, 99), (8, 16)],
+        );
+        let index = WalkIndex::new(&p, &a);
+        assert!(index.rows[1].event.is_none());
+        assert_eq!(walk_bcis(&p, &a, true), vec![0, 16]);
     }
 }

@@ -35,7 +35,7 @@ pub mod recover;
 pub mod threads;
 
 pub use accuracy::{alignment_score, AccuracyBreakdown};
-pub use decode::{decode_segment, BcEvent, BcSegment};
+pub use decode::{decode_segment, decode_segment_with, BcEvent, BcSegment, WalkIndex};
 pub use pipeline::{JPortal, JPortalConfig, JPortalReport, TraceEntry, TraceOrigin};
 pub use quality::{FillQuality, QualityReport, ThreadQuality};
 pub use reconstruct::{project_segment, Projection, ProjectionConfig, ProjectionStats};

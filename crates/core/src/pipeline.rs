@@ -23,7 +23,7 @@ use jportal_obs::{
 };
 use std::cell::RefCell;
 
-use crate::decode::decode_segment;
+use crate::decode::{decode_segment_with, WalkIndex};
 use crate::quality::{FillQuality, QualityReport, ThreadQuality};
 use crate::reconstruct::{project_segment_with, ProjectionConfig, ProjectionStats};
 use crate::recover::{FillScratch, Recovery, RecoveryConfig, RecoveryStats, SegmentView};
@@ -493,7 +493,10 @@ impl<'p> JPortal<'p> {
         }
         self.tick_stage();
 
-        // Level 1: decode + project every (thread, piece) pair globally.
+        // Level 1: decode + project every (thread, piece) pair globally,
+        // walking JIT code through one set of tables shared by every
+        // worker.
+        let walk_index = WalkIndex::new(self.program, archive);
         let work: Vec<(usize, usize)> = thread_pieces
             .iter()
             .enumerate()
@@ -531,7 +534,7 @@ impl<'p> JPortal<'p> {
                         .parent("analyze")
                         .arg("core", piece.core)
                         .record_sketch(&decode_sketch);
-                    decode_segment(self.program, archive, &piece.segment)
+                    decode_segment_with(archive, &walk_index, &piece.segment)
                 };
                 debug_assert_eq!(decoded.core, piece.core);
                 let proj = PROJ_SCRATCH.with(|s| {
@@ -725,8 +728,18 @@ impl<'p> JPortal<'p> {
         let mut recovery_stats = RecoveryStats::default();
         let mut holes = Vec::new();
         let mut recovery: Option<Recovery<'_>> = None;
-        let mut entries: Vec<TraceEntry> = Vec::new();
-        let mut steps: Vec<LintStep> = Vec::new();
+        // With no hole to fill, the timeline is exactly the decoded
+        // events: reserve it once. Fills would overflow the reservation
+        // into a doubled buffer, so lossy threads grow as they go.
+        let fills_ahead = !self.config.disable_recovery
+            && compacted.iter().skip(1).any(|v| v.loss_before.is_some());
+        let capacity = if fills_ahead {
+            0
+        } else {
+            compacted.iter().map(|s| s.events.len()).sum()
+        };
+        let mut entries: Vec<TraceEntry> = Vec::with_capacity(capacity);
+        let mut steps: Vec<LintStep> = Vec::with_capacity(capacity);
         let mut fills: Vec<FillQuality> = Vec::new();
         // One walk scratch for all of this thread's holes.
         let mut fill_scratch = FillScratch::new();
@@ -767,6 +780,12 @@ impl<'p> JPortal<'p> {
                 }
             }
             let seg = &compacted[i];
+            debug_assert!(
+                seg.breaks.first() != Some(&0) && seg.breaks.windows(2).all(|w| w[0] < w[1]),
+                "projection breaks must be strictly ascending and never 0"
+            );
+            // Ascending seam cursor over `breaks`.
+            let mut seams = seg.breaks.iter().copied().peekable();
             for (idx, (e, node)) in seg.events.iter().zip(&seg.nodes).enumerate() {
                 let (method, bci) = match node {
                     Some(n) => {
@@ -791,7 +810,7 @@ impl<'p> JPortal<'p> {
                     node: *node,
                     op: e.sym.op,
                     dir: e.sym.dir,
-                    boundary: idx == 0 || seg.breaks.binary_search(&idx).is_ok(),
+                    boundary: idx == 0 || seams.next_if_eq(&idx).is_some(),
                     lossy: idx == 0,
                 });
             }

@@ -6,8 +6,11 @@ use proptest::prelude::*;
 
 use jportal_bytecode::builder::ProgramBuilder;
 use jportal_bytecode::{CmpKind, Instruction as I, Program};
-use jportal_core::JPortal;
-use jportal_ipt::ThreadId;
+use jportal_cfg::abs::AbstractNfa;
+use jportal_cfg::{Icfg, MatchScratch};
+use jportal_core::reconstruct::{project_segment_with, ProjectionConfig};
+use jportal_core::{decode_segment, JPortal};
+use jportal_ipt::{decode_packets, segment_stream, ThreadId};
 use jportal_jvm::runtime::{Jvm, JvmConfig};
 
 /// A random two-method program: `main` loops calling `f(i)` whose body
@@ -123,6 +126,51 @@ proptest! {
         for (e, t) in entries.iter().zip(truth) {
             prop_assert_eq!(e.method, Some(t.method));
             prop_assert_eq!(e.bci, Some(t.bci));
+        }
+    }
+
+    /// Projection seams come out as the pipeline's seam cursor reads
+    /// them: strictly ascending, never 0 and inside the segment — on
+    /// clean decodes and on event streams with random deletions and
+    /// reversed order, which force restarts.
+    #[test]
+    fn projection_breaks_are_strictly_increasing_and_in_range(
+        program in arb_program(),
+        drops in prop::collection::vec(any::<u16>(), 0..12),
+    ) {
+        let r = Jvm::new(JvmConfig {
+            c1_threshold: 2,
+            c2_threshold: 5,
+            ..JvmConfig::default()
+        })
+        .run(&program);
+        let icfg = Icfg::build(&program);
+        let anfa = AbstractNfa::new(&program, &icfg);
+        let mut scratch = MatchScratch::new();
+        let trace = &r.traces.as_ref().unwrap().per_core[0];
+        for raw in segment_stream(decode_packets(&trace.bytes), &trace.losses, 0) {
+            let events = decode_segment(&program, &r.archive, &raw).events;
+            let mut corrupted = events.clone();
+            for &d in &drops {
+                if !corrupted.is_empty() {
+                    corrupted.remove(usize::from(d) % corrupted.len());
+                }
+            }
+            corrupted.reverse();
+            for events in [events, corrupted] {
+                let proj = project_segment_with(
+                    &program,
+                    &icfg,
+                    &anfa,
+                    &events,
+                    &ProjectionConfig::default(),
+                    None,
+                    &mut scratch,
+                );
+                prop_assert!(proj.breaks.first() != Some(&0));
+                prop_assert!(proj.breaks.windows(2).all(|w| w[0] < w[1]));
+                prop_assert!(proj.breaks.iter().all(|&b| b < events.len()));
+            }
         }
     }
 
