@@ -282,16 +282,19 @@ struct Frame {
     relocated: bool,
 }
 
-/// [`lint_steps_summarized`] wrapped in telemetry: a `lint` span
-/// covering the replay plus step/diagnostic counters on the handle's
-/// registry. Identical diagnostics to the plain call; inert when `obs`
-/// is disabled.
-pub fn lint_steps_observed(
+/// [`lint_steps_summarized`] plus telemetry and flight-recorder
+/// emission: a `lint` span covering the replay, step/diagnostic
+/// counters on the handle's registry, and every diagnostic as a
+/// [`jportal_obs::JournalEvent::LintBreak`] through `recorder`. All of
+/// it is inert when `obs` is disabled; the diagnostics are identical
+/// either way.
+pub fn lint_steps_journaled(
     program: &Program,
     icfg: &Icfg,
     steps: &[LintStep],
     summaries: Option<&SummaryTable>,
     obs: &jportal_obs::Obs,
+    recorder: &mut jportal_obs::JournalRecorder<'_>,
 ) -> Vec<LintDiagnostic> {
     let _span = obs
         .span("lint", "lint_steps")
@@ -303,22 +306,6 @@ pub fn lint_steps_observed(
         .add(steps.len() as u64);
     reg.counter("analysis.lint.diagnostics", MetricClass::Exact)
         .add(diagnostics.len() as u64);
-    diagnostics
-}
-
-/// [`lint_steps_observed`] plus flight-recorder emission: every
-/// diagnostic also lands in the decision journal as a
-/// [`jportal_obs::JournalEvent::LintBreak`] through `recorder` (inert
-/// when the journal is off). Identical diagnostics either way.
-pub fn lint_steps_journaled(
-    program: &Program,
-    icfg: &Icfg,
-    steps: &[LintStep],
-    summaries: Option<&SummaryTable>,
-    obs: &jportal_obs::Obs,
-    recorder: &mut jportal_obs::JournalRecorder<'_>,
-) -> Vec<LintDiagnostic> {
-    let diagnostics = lint_steps_observed(program, icfg, steps, summaries, obs);
     if recorder.is_enabled() {
         for d in &diagnostics {
             recorder.emit(jportal_obs::JournalEvent::LintBreak {

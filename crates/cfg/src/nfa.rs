@@ -230,10 +230,11 @@ impl<'a> Nfa<'a> {
     /// Set-simulation using caller-provided scratch buffers: no per-symbol
     /// allocations and no hashing in the inner loop.
     ///
-    /// Equivalent to [`Nfa::match_from_reference`] (outcome *and* witness
+    /// Equivalent to the seed set simulation (outcome *and* witness
     /// path) — the frontier is walked in the same order and dedup is
     /// first-wins, so the "first-discovered" witness is identical; the
-    /// matcher-equivalence property test pins this down.
+    /// matcher-equivalence property test pins this down against the seed
+    /// code, kept verbatim as its oracle.
     pub fn match_from_with(
         &self,
         starts: &[NodeId],
@@ -379,56 +380,6 @@ impl<'a> Nfa<'a> {
             }
         }
         matched
-    }
-
-    /// The seed implementation of [`Nfa::match_from`], kept verbatim as
-    /// the oracle for the matcher-equivalence property tests (per-layer
-    /// `Vec`s, per-symbol `HashSet` dedup). Not used on any hot path.
-    pub fn match_from_reference(&self, starts: &[NodeId], syms: &[Sym]) -> MatchOutcome {
-        if syms.is_empty() {
-            return MatchOutcome::Accepted(Vec::new());
-        }
-        // layers[i] = states after consuming syms[..=i], with back-pointer
-        // into layers[i-1] for path reconstruction.
-        let mut layers: Vec<Vec<(NodeId, usize)>> = Vec::with_capacity(syms.len());
-        let first: Vec<(NodeId, usize)> = starts
-            .iter()
-            .copied()
-            .filter(|&n| syms[0].matches_instruction(self.insn(n)))
-            .map(|n| (n, usize::MAX))
-            .collect();
-        if first.is_empty() {
-            return MatchOutcome::Rejected(0);
-        }
-        layers.push(first);
-
-        for (i, &sym) in syms.iter().enumerate().skip(1) {
-            let prev_sym = syms[i - 1];
-            let prev_layer = layers.last().expect("non-empty");
-            let mut next: Vec<(NodeId, usize)> = Vec::new();
-            let mut seen = std::collections::HashSet::new();
-            for (pi, &(state, _)) in prev_layer.iter().enumerate() {
-                for succ in self.step(state, prev_sym, sym) {
-                    if seen.insert(succ) {
-                        next.push((succ, pi));
-                    }
-                }
-            }
-            if next.is_empty() {
-                return MatchOutcome::Rejected(i);
-            }
-            layers.push(next);
-        }
-
-        // Reconstruct a witness from the first accepting state.
-        let mut path = vec![NodeId(0); syms.len()];
-        let mut idx = 0usize;
-        for i in (0..syms.len()).rev() {
-            let (node, parent) = layers[i][idx];
-            path[i] = node;
-            idx = if parent == usize::MAX { 0 } else { parent };
-        }
-        MatchOutcome::Accepted(path)
     }
 
     /// Matches from every candidate start simultaneously (the efficient

@@ -1,6 +1,6 @@
 //! Matcher-equivalence properties: the tabled/allocation-free fast paths
 //! must be indistinguishable from the seed implementations, which are
-//! kept verbatim as oracles ([`Nfa::match_from_reference`] and
+//! kept verbatim as oracles (`support/reference_match.rs` and
 //! [`AbstractNfa::abstract_accepts_from_reference`]).
 //!
 //! "Indistinguishable" is strict: same accept/reject outcome, same
@@ -15,6 +15,11 @@ use jportal_bytecode::{CmpKind, Instruction as I, OpKind, Program};
 use jportal_cfg::abs::AbstractNfa;
 use jportal_cfg::tier::abstract_seq;
 use jportal_cfg::{Icfg, MatchScratch, Nfa, Sym, Tier};
+
+mod support {
+    pub mod reference_match;
+}
+use support::reference_match::match_from_reference;
 
 /// Same generator family as `properties.rs`: random block/branch scripts
 /// over a verifying single-method program.
@@ -109,7 +114,7 @@ proptest! {
         }
         let starts = nfa.start_candidates(syms[0]);
         let fast = nfa.match_from_with(starts, &syms, &mut scratch);
-        let oracle = nfa.match_from_reference(starts, &syms);
+        let oracle = match_from_reference(&nfa, starts, &syms);
         prop_assert_eq!(&fast, &oracle);
         // Scratch reuse must not leak state between calls: run again on a
         // perturbed suffix with the same buffers.
@@ -121,7 +126,7 @@ proptest! {
             let starts = nfa.start_candidates(tail[0]);
             prop_assert_eq!(
                 nfa.match_from_with(starts, tail, &mut scratch),
-                nfa.match_from_reference(starts, tail)
+                match_from_reference(&nfa, starts, tail)
             );
         }
     }
@@ -143,7 +148,7 @@ proptest! {
             let starts = [n];
             prop_assert_eq!(
                 nfa.match_from_with(&starts, &syms, &mut scratch),
-                nfa.match_from_reference(&starts, &syms)
+                match_from_reference(&nfa, &starts, &syms)
             );
         }
     }
@@ -198,7 +203,7 @@ proptest! {
             if survivors.is_empty() {
                 jportal_cfg::MatchOutcome::Rejected(0)
             } else {
-                nfa.match_from_reference(&survivors, &syms)
+                match_from_reference(&nfa, &survivors, &syms)
             }
         };
         prop_assert_eq!(fast, oracle);

@@ -8,12 +8,11 @@
 //! control-flow trace with per-entry provenance.
 
 use jportal_analysis::{
-    lint_steps_journaled, lint_steps_summarized, AnalysisIndex, LintDiagnostic, LintStep,
-    LintSummary, Rta, SummaryTable,
+    lint_steps_journaled, AnalysisIndex, LintDiagnostic, LintStep, LintSummary, Rta, SummaryTable,
 };
 use jportal_bytecode::Program;
 use jportal_cfg::abs::{AbstractNfa, DfaCacheStats};
-use jportal_cfg::{Icfg, MatchScratch, Sym};
+use jportal_cfg::{Icfg, MatchScratch};
 use jportal_corpus::{Corpus, CorpusBuilder};
 use jportal_ipt::{CollectedTraces, CollectionStats, ThreadId};
 use jportal_jvm::MetadataArchive;
@@ -26,7 +25,9 @@ use std::cell::RefCell;
 use crate::decode::{decode_segment_with, WalkIndex};
 use crate::quality::{FillQuality, QualityReport, ThreadQuality};
 use crate::reconstruct::{project_segment_with, ProjectionConfig, ProjectionStats};
-use crate::recover::{FillScratch, Recovery, RecoveryConfig, RecoveryStats, SegmentView};
+use crate::recover::{
+    event_loc, FillScratch, HarvestSeg, Recovery, RecoveryConfig, RecoveryStats, SegmentView,
+};
 pub use crate::recover::{TraceEntry, TraceOrigin};
 use crate::threads::{segregate_with_stats, ThreadPiece};
 
@@ -264,11 +265,6 @@ pub struct JPortal<'p> {
     profiler: Option<std::sync::Arc<Profiler>>,
 }
 
-/// One harvested complete segment, ready for
-/// [`jportal_corpus::CorpusBuilder::insert`]: symbols, packed
-/// `(method, bci)` locations, projection seams.
-type HarvestSeg = (Vec<Sym>, Vec<u64>, Vec<u32>);
-
 /// One assembled thread: its report, fill quality, harvested segments
 /// when harvesting, and its anchor-index size when the recovery engine
 /// was built.
@@ -422,8 +418,9 @@ impl<'p> JPortal<'p> {
     /// never idles because "its" thread finished early), then per-thread
     /// assembly — compaction, recovery, entry emission — fans out across
     /// threads. Recovery itself stays sequential over a thread's holes
-    /// (each fill extends the timeline the next hole's ranking reads) and
-    /// over each hole's candidates. Results are reassembled
+    /// and over each hole's candidates; the holes are independent (a
+    /// fill reads only the compacted segments, never an earlier fill),
+    /// this is just the current schedule. Results are reassembled
     /// in deterministic order at every join, so the report is identical
     /// for every worker count.
     pub fn analyze(&self, traces: &CollectedTraces, archive: &MetadataArchive) -> JPortalReport {
@@ -689,8 +686,9 @@ impl<'p> JPortal<'p> {
     }
 
     /// Compacts one thread's projected segments, recovers across lossy
-    /// boundaries and emits the final timeline (sequential over holes by
-    /// construction: each fill's context feeds the next).
+    /// boundaries and emits the final timeline. Holes are filled one
+    /// after another, but each fill reads only the compacted segments,
+    /// never an earlier fill.
     ///
     /// The recovery engine, and with it the anchor and op-position
     /// indices, is built at the first hole it fills: a thread with no
@@ -787,13 +785,7 @@ impl<'p> JPortal<'p> {
             // Ascending seam cursor over `breaks`.
             let mut seams = seg.breaks.iter().copied().peekable();
             for (idx, (e, node)) in seg.events.iter().zip(&seg.nodes).enumerate() {
-                let (method, bci) = match node {
-                    Some(n) => {
-                        let (m, b) = self.icfg.location(*n);
-                        (Some(m), Some(b))
-                    }
-                    None => (e.method, e.bci),
-                };
+                let (method, bci) = event_loc(&self.icfg, e, *node);
                 entries.push(TraceEntry {
                     op: e.sym.op,
                     method,
@@ -823,52 +815,27 @@ impl<'p> JPortal<'p> {
             .set_max(fill_scratch.high_water() as u64);
 
         let lint = if self.config.lint {
-            if obs.is_enabled() {
-                // Lint breaks go under the reserved segment key so they
-                // sort after every per-segment decision for the thread.
-                recorder.set_segment(jportal_obs::journal::LINT_SEGMENT);
-                lint_steps_journaled(
-                    self.program,
-                    &self.icfg,
-                    &steps,
-                    self.summaries.as_ref(),
-                    obs,
-                    &mut recorder,
-                )
-            } else {
-                lint_steps_summarized(self.program, &self.icfg, &steps, self.summaries.as_ref())
-            }
+            // Lint breaks go under the reserved segment key so they sort
+            // after every per-segment decision for the thread.
+            recorder.set_segment(jportal_obs::journal::LINT_SEGMENT);
+            lint_steps_journaled(
+                self.program,
+                &self.icfg,
+                &steps,
+                self.summaries.as_ref(),
+                obs,
+                &mut recorder,
+            )
         } else {
             Vec::new()
         };
 
         // Harvest this thread's decoded complete segments for the
-        // persistent corpus: locations resolved exactly as the emitted
-        // entries above (projected node first, raw decode fallback), so
-        // a corpus fill reproduces what in-run recovery would emit.
+        // persistent corpus.
         let harvested = harvest.then(|| {
             compacted
                 .iter()
-                .map(|seg| {
-                    let syms: Vec<Sym> = seg.events.iter().map(|e| e.sym).collect();
-                    let locs: Vec<u64> = seg
-                        .events
-                        .iter()
-                        .zip(&seg.nodes)
-                        .map(|(e, node)| {
-                            let (m, b) = match node {
-                                Some(n) => {
-                                    let (m, b) = self.icfg.location(*n);
-                                    (Some(m), Some(b))
-                                }
-                                None => (e.method, e.bci),
-                            };
-                            jportal_corpus::pack_loc(m.map(|m| m.0), b.map(|b| b.0))
-                        })
-                        .collect();
-                    let breaks: Vec<u32> = seg.breaks.iter().map(|&i| i as u32).collect();
-                    (syms, locs, breaks)
-                })
+                .map(|seg| seg.harvest(&self.icfg))
                 .collect()
         });
 

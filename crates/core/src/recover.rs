@@ -20,7 +20,7 @@ use jportal_analysis::{AnalysisIndex, LintStep, SummaryTable};
 use jportal_bytecode::{Bci, MethodId, OpKind, Program};
 use jportal_cfg::{FxHashMap, Icfg, NodeId, Sym, Tier};
 use jportal_corpus::pack::{suffix_swar, PackedSyms};
-use jportal_corpus::Corpus;
+use jportal_corpus::{Corpus, CorpusCandidate, SegView};
 use jportal_ipt::ring::LossRecord;
 use jportal_obs::{CandidateOutcome, Journal, JournalEvent, JournalRecorder};
 use std::collections::VecDeque;
@@ -67,6 +67,31 @@ pub struct SegmentView {
     pub breaks: Vec<usize>,
     /// Loss separating this segment from the previous one.
     pub loss_before: Option<LossRecord>,
+}
+
+/// One harvested complete segment, ready for
+/// [`jportal_corpus::CorpusBuilder::insert`]: symbols, packed
+/// `(method, bci)` locations, projection seams.
+pub(crate) type HarvestSeg = (Vec<Sym>, Vec<u64>, Vec<u32>);
+
+impl SegmentView {
+    /// This segment as the persistent corpus stores it, locations
+    /// resolved by [`event_loc`] exactly as emitted entries are, so a
+    /// corpus splice reproduces what the in-run splice would emit.
+    pub(crate) fn harvest(&self, icfg: &Icfg) -> HarvestSeg {
+        let syms = self.events.iter().map(|e| e.sym).collect();
+        let locs = self
+            .events
+            .iter()
+            .zip(&self.nodes)
+            .map(|(e, &node)| {
+                let (m, b) = event_loc(icfg, e, node);
+                jportal_corpus::pack_loc(m.map(|m| m.0), b.map(|b| b.0))
+            })
+            .collect();
+        let breaks = self.breaks.iter().map(|&i| i as u32).collect();
+        (syms, locs, breaks)
+    }
 }
 
 /// The result of filling one hole: the spliced entries plus the
@@ -444,12 +469,16 @@ impl IndexedSegment {
 /// last symbol sits at `offset` (inclusive) in that segment.
 type Candidate = (usize, usize);
 
-/// Per-hole confirm-window context handed to the summary prefilter: the
-/// post-hole window the winning fill must reproduce and the hole's
-/// timestamp budget (both exactly as the confirm scan will use them).
-struct ConfirmCtx<'w> {
+/// One hole as the summary prefilter and both complete-segment sources
+/// see it: the post-hole window the winning fill must reproduce, the
+/// hole's timestamp budget, the timestamp span spliced entries
+/// interpolate across (see [`hole_span`]), and the raw event estimate
+/// a fill's length is judged against.
+struct HoleCtx<'w> {
     post_window: &'w [Sym],
     budget: usize,
+    span: (u64, u64),
+    estimate: f64,
 }
 
 /// Occurrence probes [`Recovery::can_confirm`] spends per candidate
@@ -457,6 +486,200 @@ struct ConfirmCtx<'w> {
 /// (a window of ubiquitous op kinds) cheaper than the scoring it
 /// short-circuits; an undecided candidate is simply not pruned.
 const CONFIRM_PROBE_CAP: usize = 64;
+
+/// The timestamp span a CS splice interpolates across: the loss
+/// record's, or a zero-width span at the IS's last event for a hole
+/// with no loss record.
+fn hole_span(segments: &[SegmentView], is_seg: usize, loss: Option<LossRecord>) -> (u64, u64) {
+    let t = segments[is_seg].events.last().map_or(0, |e| e.ts);
+    loss.map_or((t, t), |l| (l.first_ts, l.last_ts))
+}
+
+/// Where a decoded event sits: its projected node's location, falling
+/// back to what the raw decode carried (JIT debug info). Emitted,
+/// spliced and harvested entries all resolve locations through this.
+pub(crate) fn event_loc(
+    icfg: &Icfg,
+    event: &BcEvent,
+    node: Option<NodeId>,
+) -> (Option<MethodId>, Option<Bci>) {
+    match node {
+        Some(n) => {
+            let (m, b) = icfg.location(n);
+            (Some(m), Some(b))
+        }
+        None => (event.method, event.bci),
+    }
+}
+
+/// A complete segment as the confirm scan and the splice read it. The
+/// in-run segments ([`RunSeg`]) and the persistent corpus's
+/// ([`jportal_corpus::SegView`]) share one fill path, monomorphised per
+/// source.
+trait CsSource: Copy {
+    /// Symbol count.
+    fn len(self) -> usize;
+    /// The symbol at position `i`.
+    fn sym(self, i: usize) -> Sym;
+    /// The projected ICFG node at `i`.
+    fn node(self, i: usize) -> Option<NodeId>;
+    /// The `(method, bci)` location at `i`.
+    fn loc(self, i: usize) -> (Option<MethodId>, Option<Bci>);
+    /// Ascending projection-seam positions strictly after `pos`.
+    fn seams_after(self, pos: usize) -> impl Iterator<Item = usize>;
+}
+
+/// An in-run complete segment: the indexed symbols plus the projection
+/// they were decoded with.
+#[derive(Clone, Copy)]
+struct RunSeg<'s> {
+    syms: &'s [Sym],
+    view: &'s SegmentView,
+    icfg: &'s Icfg,
+}
+
+impl CsSource for RunSeg<'_> {
+    fn len(self) -> usize {
+        self.syms.len()
+    }
+
+    fn sym(self, i: usize) -> Sym {
+        self.syms[i]
+    }
+
+    fn node(self, i: usize) -> Option<NodeId> {
+        self.view.nodes[i]
+    }
+
+    fn loc(self, i: usize) -> (Option<MethodId>, Option<Bci>) {
+        event_loc(self.icfg, &self.view.events[i], self.view.nodes[i])
+    }
+
+    fn seams_after(self, pos: usize) -> impl Iterator<Item = usize> {
+        let b = &self.view.breaks;
+        b[b.partition_point(|&s| s <= pos)..].iter().copied()
+    }
+}
+
+/// A corpus segment carries no ICFG node (the corpus outlives any one
+/// projection), so the linter grades its splices like unlocated ones;
+/// locations and seams come from what the harvest recorded.
+impl CsSource for SegView<'_> {
+    fn len(self) -> usize {
+        self.len
+    }
+
+    fn sym(self, i: usize) -> Sym {
+        SegView::sym(&self, i)
+    }
+
+    fn node(self, _: usize) -> Option<NodeId> {
+        None
+    }
+
+    fn loc(self, i: usize) -> (Option<MethodId>, Option<Bci>) {
+        let (m, b) = SegView::loc(&self, i);
+        (m.map(MethodId), b.map(Bci))
+    }
+
+    fn seams_after(self, pos: usize) -> impl Iterator<Item = usize> {
+        let b = self.breaks;
+        b[b.partition_point(|&s| s as usize <= pos)..]
+            .iter()
+            .map(|&s| s as usize)
+    }
+}
+
+/// What a successful confirm scan found. The budget clipped the scan
+/// when `max_fill < available`.
+#[derive(Clone, Copy)]
+struct Confirmed {
+    /// Offset of the post-hole window past the suffix start: the fill
+    /// is the `d` symbols before it.
+    d: usize,
+    /// The scan's reach, `budget.min(available)`.
+    max_fill: usize,
+    /// Symbols after the candidate's anchor.
+    available: usize,
+}
+
+/// The confirm scan: the first offset `d ∈ 0..=budget` past
+/// `suffix_start` at which `cs` reproduces the post-hole window. A scan
+/// the budget clips counts one [`RecoveryStats::budget_truncations`],
+/// confirmed or not.
+fn confirm_scan<S: CsSource>(
+    cs: S,
+    suffix_start: usize,
+    ctx: &HoleCtx<'_>,
+    stats: &mut RecoveryStats,
+) -> Option<Confirmed> {
+    let available = cs.len().saturating_sub(suffix_start);
+    let max_fill = ctx.budget.min(available);
+    if max_fill < available {
+        stats.budget_truncations += 1;
+    }
+    let window = ctx.post_window;
+    (0..=max_fill)
+        .take_while(|d| suffix_start + d + window.len() <= cs.len())
+        .find(|d| {
+            let from = suffix_start + d;
+            window
+                .iter()
+                .enumerate()
+                .all(|(k, &s)| sym_compat(cs.sym(from + k), s))
+        })
+        .map(|d| Confirmed {
+            d,
+            max_fill,
+            available,
+        })
+}
+
+/// Splices `cs[from..from + len]` into a hole spanning `(t0, t1)`:
+/// recovered entries with interpolated timestamps, and lint steps whose
+/// seams are the splice point plus the CS's own projection seams.
+/// Spliced content stands in for events the hardware dropped, so every
+/// seam inside it is lossy for the linter.
+fn splice<S: CsSource>(cs: S, from: usize, len: usize, (t0, t1): (u64, u64)) -> Fill {
+    let mut fill = Fill::default();
+    let mut seams = cs.seams_after(from).peekable();
+    for k in 0..len {
+        let i = from + k;
+        let s = cs.sym(i);
+        let (method, bci) = cs.loc(i);
+        let ts = if len > 1 {
+            t0 + (t1 - t0) * k as u64 / (len as u64 - 1)
+        } else {
+            t0
+        };
+        fill.entries.push(TraceEntry {
+            op: s.op,
+            method,
+            bci,
+            ts,
+            origin: TraceOrigin::Recovered,
+        });
+        let boundary = k == 0 || seams.next_if_eq(&i).is_some();
+        fill.steps.push(LintStep {
+            node: cs.node(i),
+            op: s.op,
+            dir: s.dir,
+            boundary,
+            lossy: boundary,
+        });
+    }
+    fill
+}
+
+/// The candidate [`Recovery::fill_from_ranked`] spliced, with what each
+/// source's journal event reports about it.
+struct CsFill<C> {
+    cand: C,
+    score: usize,
+    runner_up: usize,
+    truncated: bool,
+    fill: Fill,
+}
 
 /// Key of the anchor index: the opcode sequence of an anchor window,
 /// always one `Copy` word (see [`jportal_corpus::anchor_key`]).
@@ -486,7 +709,7 @@ pub struct FillScratch {
     queue: VecDeque<(NodeId, usize)>,
     /// Corpus candidate buffer, reused across holes so the corpus
     /// lookup path stays allocation-free per hole.
-    corpus_cands: Vec<jportal_corpus::CorpusCandidate>,
+    corpus_cands: Vec<CorpusCandidate>,
 }
 
 impl FillScratch {
@@ -691,7 +914,7 @@ impl<'a> Recovery<'a> {
         &self,
         is_seg: usize,
         anchor: &[Sym],
-        ctx: Option<&ConfirmCtx<'_>>,
+        ctx: Option<&HoleCtx<'_>>,
     ) -> Vec<(Candidate, bool)> {
         let key = AnchorKey::of(anchor);
         let is_end = self.indexed[is_seg].syms.len() - 1;
@@ -724,13 +947,12 @@ impl<'a> Recovery<'a> {
 
     /// `true` unless candidate `(si, end)`'s suffix provably contains no
     /// window matching `ctx.post_window` within `ctx.budget` — the exact
-    /// success condition of the confirm scan in
-    /// [`Recovery::fill_hole_with`]. The scan walks the occurrences of
-    /// the window's rarest op kind (per-segment position index), so a
-    /// hopeless candidate is usually rejected in O(log n); after
-    /// [`CONFIRM_PROBE_CAP`] occurrence probes the candidate is kept
-    /// (undecided ⇒ alive keeps the prefilter sound).
-    fn can_confirm(&self, (si, end): Candidate, ctx: &ConfirmCtx<'_>) -> bool {
+    /// success condition of [`confirm_scan`]. The scan walks the
+    /// occurrences of the window's rarest op kind (per-segment position
+    /// index), so a hopeless candidate is usually rejected in O(log n);
+    /// after [`CONFIRM_PROBE_CAP`] occurrence probes the candidate is
+    /// kept (undecided ⇒ alive keeps the prefilter sound).
+    fn can_confirm(&self, (si, end): Candidate, ctx: &HoleCtx<'_>) -> bool {
         let cs = &self.indexed[si];
         let suffix_start = end + 1;
         let y = ctx.post_window.len();
@@ -784,7 +1006,7 @@ impl<'a> Recovery<'a> {
         &self,
         is_seg: usize,
         stats: &mut RecoveryStats,
-        ctx: Option<&ConfirmCtx<'_>>,
+        ctx: Option<&HoleCtx<'_>>,
         journal: &mut CandidateJournal<'_, '_>,
     ) -> Vec<(Candidate, usize)> {
         let is = &self.indexed[is_seg];
@@ -846,7 +1068,7 @@ impl<'a> Recovery<'a> {
         &self,
         is_seg: usize,
         stats: &mut RecoveryStats,
-        ctx: Option<&ConfirmCtx<'_>>,
+        ctx: Option<&HoleCtx<'_>>,
         journal: &mut CandidateJournal<'_, '_>,
     ) -> Vec<(Candidate, usize)> {
         let is = &self.indexed[is_seg];
@@ -902,21 +1124,6 @@ impl<'a> Recovery<'a> {
         best
     }
 
-    /// Fills the hole after `is_seg` using the ranked candidates; returns
-    /// the fill and how it was obtained. One-shot wrapper over
-    /// [`Recovery::fill_hole_with`].
-    pub fn fill_hole(
-        &self,
-        segments: &[SegmentView],
-        is_seg: usize,
-        post_seg: usize,
-        loss: Option<LossRecord>,
-        stats: &mut RecoveryStats,
-    ) -> Fill {
-        let mut scratch = FillScratch::new();
-        self.fill_hole_with(segments, is_seg, post_seg, loss, stats, &mut scratch)
-    }
-
     /// Fills the hole after `is_seg`, reusing `scratch` buffers for the
     /// fallback walk; callers filling many holes (one per loss record per
     /// thread) keep one scratch alive across all of them.
@@ -956,18 +1163,20 @@ impl<'a> Recovery<'a> {
         stats.holes += 1;
         let post = &self.indexed[post_seg];
         let budget = self.hole_budget(segments, is_seg, loss);
-        // The raw (pre-`budget_factor`) event estimate: the best guess
-        // at how many truth events the hole actually swallowed.
-        let estimate = budget as f64 / self.cfg.budget_factor.max(1.0);
+        let ctx = HoleCtx {
+            post_window: &post.syms[..self.cfg.confirm_len.min(post.syms.len())],
+            budget,
+            span: hole_span(segments, is_seg, loss),
+            // The raw (pre-`budget_factor`) event estimate: the best guess
+            // at how many truth events the hole actually swallowed.
+            estimate: budget as f64 / self.cfg.budget_factor.max(1.0),
+        };
 
         if recorder.is_enabled() {
             recorder.set_segment(is_seg as u32);
             let is = &self.indexed[is_seg];
             let x = self.cfg.anchor_len.min(is.syms.len());
-            let (first_ts, last_ts) = match loss {
-                Some(l) => (l.first_ts, l.last_ts),
-                None => (0, 0),
-            };
+            let (first_ts, last_ts) = loss.map_or((0, 0), |l| (l.first_ts, l.last_ts));
             recorder.emit(JournalEvent::HoleOpened {
                 hole,
                 first_ts,
@@ -979,21 +1188,15 @@ impl<'a> Recovery<'a> {
         }
         let pre_candidates = stats.candidates;
         let pre_summary_pruned = stats.summary_pruned;
-        // Confirm-window context for the summary prefilter: exactly the
-        // window and budget the confirm scan below will use. An empty
-        // post window means nothing can ever confirm, so there is no
-        // point prefiltering.
-        let post_window = &post.syms[..self.cfg.confirm_len.min(post.syms.len())];
-        let ctx = (!post_window.is_empty()).then_some(ConfirmCtx {
-            post_window,
-            budget,
-        });
+        // An empty post window means nothing can ever confirm, so there
+        // is no point prefiltering.
+        let prefilter = (!ctx.post_window.is_empty()).then_some(&ctx);
         let mut journal =
             CandidateJournal::new(recorder.is_enabled().then_some(&mut *recorder), hole);
         let mut ranked = if self.cfg.use_abstraction {
-            self.search_abstraction_journaled(is_seg, stats, ctx.as_ref(), &mut journal)
+            self.search_abstraction_journaled(is_seg, stats, prefilter, &mut journal)
         } else {
-            self.search_naive_journaled(is_seg, stats, ctx.as_ref(), &mut journal)
+            self.search_naive_journaled(is_seg, stats, prefilter, &mut journal)
         };
         journal.finish();
         if self.summaries.is_some() {
@@ -1009,89 +1212,43 @@ impl<'a> Recovery<'a> {
         }
         self.rank_with_dominators(&mut ranked, segments, post_seg);
 
-        let y = self.cfg.confirm_len;
-        for (idx, &((si, end), score)) in ranked.iter().enumerate() {
-            let cs = &self.indexed[si];
-            // Scan the CS suffix for a y-window matching the post-hole
-            // beginning, within budget.
-            let suffix_start = end + 1;
-            let available = cs.syms.len().saturating_sub(suffix_start);
-            let max_fill = budget.min(available);
-            let truncated = max_fill < available;
-            if truncated {
-                stats.budget_truncations += 1;
-            }
-            let post_window = &post.syms[..y.min(post.syms.len())];
-            if y >= 1 && post_window.is_empty() {
-                continue;
-            }
-            let mut found: Option<usize> = None;
-            for d in 0..=max_fill {
-                let from = suffix_start + d;
-                if from + post_window.len() > cs.syms.len() {
-                    break;
-                }
-                if post_window
-                    .iter()
-                    .enumerate()
-                    .all(|(k, &s)| sym_compat(cs.syms[from + k], s))
-                {
-                    found = Some(d);
-                    break;
-                }
-            }
-            if let Some(d) = found {
-                let mut fill = self.entries_from_cs(segments, si, suffix_start, d, is_seg, loss);
-                // Margin over the best *other* ranked score: candidates
-                // earlier in rank order failed to confirm, so a non-top
-                // winner gets margin 0 (its score was not the best).
-                let runner_up = if idx == 0 {
-                    ranked.get(1).map(|&(_, s)| s).unwrap_or(0)
-                } else {
-                    ranked[0].1
-                };
-                let sole = ranked.len() == 1;
-                fill.confidence = cs_confidence(
-                    score,
-                    runner_up,
-                    sole,
-                    max_fill,
-                    available,
-                    fill.entries.len(),
-                    estimate,
-                );
-                stats.filled_from_cs += 1;
-                stats.recovered_events += fill.entries.len();
-                recorder.emit(JournalEvent::CandidateChosen {
-                    hole,
-                    cs_segment: si as u32,
-                    offset: end as u32,
-                    score: score as u32,
-                    runner_up: runner_up as u32,
-                    margin: score.saturating_sub(runner_up) as u32,
-                    fill_len: fill.entries.len() as u32,
-                    budget: budget as u64,
-                    truncated,
-                    confidence_ppm: ppm(fill.confidence),
-                });
-                return fill;
-            }
+        let in_run = |(si, end): Candidate| {
+            let cs = RunSeg {
+                syms: &self.indexed[si].syms,
+                view: &segments[si],
+                icfg: self.icfg,
+            };
+            (cs, end + 1)
+        };
+        if let Some(won) = self.fill_from_ranked(&ranked, in_run, &ctx, stats) {
+            let (si, end) = won.cand;
+            recorder.emit(JournalEvent::CandidateChosen {
+                hole,
+                cs_segment: si as u32,
+                offset: end as u32,
+                score: won.score as u32,
+                runner_up: won.runner_up as u32,
+                margin: won.score.saturating_sub(won.runner_up) as u32,
+                fill_len: won.fill.entries.len() as u32,
+                budget: budget as u64,
+                truncated: won.truncated,
+                confidence_ppm: ppm(won.fill.confidence),
+            });
+            return won.fill;
         }
 
         // Secondary source: the persistent cross-run corpus, consulted
         // only now that every in-run candidate has failed to confirm —
         // so attaching a corpus never changes an in-run fill, and a
         // growing corpus can only upgrade walk/unfilled holes.
-        if let Some(fill) = self.corpus_fill(
-            segments, is_seg, post_seg, loss, budget, estimate, stats, scratch, recorder, hole,
-        ) {
+        if let Some(fill) = self.corpus_fill(is_seg, &ctx, stats, scratch, recorder, hole) {
             return fill;
         }
 
         // Fallback: walk the ICFG between the surrounding nodes.
         stats.fallback_walks += 1;
         if let Some(mut fill) = self.walk_fill(segments, is_seg, post_seg, loss, scratch) {
-            fill.confidence = walk_confidence(fill.entries.len(), estimate);
+            fill.confidence = walk_confidence(fill.entries.len(), ctx.estimate);
             stats.filled_by_walk += 1;
             stats.recovered_events += fill.entries.len();
             recorder.emit(JournalEvent::FallbackWalk {
@@ -1109,19 +1266,15 @@ impl<'a> Recovery<'a> {
     /// Tries to fill the hole from the persistent corpus: candidates
     /// come from the corpus's sharded anchor index
     /// (O(candidates-for-anchor) regardless of corpus size), are ranked
-    /// by the SWAR common suffix against the IS, and the top-N run the
-    /// same confirm scan as in-run candidates. Returns `None` — falling
-    /// through to the walk — when no corpus is attached, its anchor
-    /// length differs from the engine's, or nothing confirms.
-    #[allow(clippy::too_many_arguments)]
+    /// by the SWAR common suffix against the IS, and the top-N go
+    /// through the same confirm → splice → confidence path as in-run
+    /// candidates. Returns `None` — falling through to the walk — when
+    /// no corpus is attached, its anchor length differs from the
+    /// engine's, or nothing confirms.
     fn corpus_fill(
         &self,
-        segments: &[SegmentView],
         is_seg: usize,
-        post_seg: usize,
-        loss: Option<LossRecord>,
-        budget: usize,
-        estimate: f64,
+        ctx: &HoleCtx<'_>,
         stats: &mut RecoveryStats,
         scratch: &mut FillScratch,
         recorder: &mut JournalRecorder<'_>,
@@ -1129,19 +1282,18 @@ impl<'a> Recovery<'a> {
     ) -> Option<Fill> {
         let corpus = self.corpus?;
         let x = self.cfg.anchor_len;
-        if corpus.anchor_len() != x || self.indexed[is_seg].syms.len() < x {
+        let is = &self.indexed[is_seg];
+        if corpus.anchor_len() != x || is.syms.len() < x {
             return None;
         }
-        let is = &self.indexed[is_seg];
-        let post = &self.indexed[post_seg];
-        let anchor = &is.syms[is.syms.len() - x..];
-        corpus.candidates_into(anchor, &mut scratch.corpus_cands);
+        corpus.candidates_into(&is.syms[is.syms.len() - x..], &mut scratch.corpus_cands);
+        let candidates = scratch.corpus_cands.len() as u32;
         stats.corpus_lookups += 1;
         stats.corpus_candidates += scratch.corpus_cands.len();
 
         // Rank by SWAR common suffix, index order breaking ties — the
         // corpus candidate order is deterministic, so the ranking is too.
-        let mut ranked: Vec<((u32, u32), usize)> = scratch
+        let mut ranked: Vec<(CorpusCandidate, usize)> = scratch
             .corpus_cands
             .iter()
             .map(|&(seg, end)| {
@@ -1161,110 +1313,84 @@ impl<'a> Recovery<'a> {
         ranked.sort_by_key(|&(_, score)| std::cmp::Reverse(score));
         ranked.truncate(self.cfg.top_n);
 
-        let y = self.cfg.confirm_len;
-        let post_window = &post.syms[..y.min(post.syms.len())];
-        if !(y >= 1 && post_window.is_empty()) {
-            for (idx, &((seg, end), score)) in ranked.iter().enumerate() {
-                let v = corpus.segment(seg);
-                let suffix_start = end as usize + 1;
-                let available = v.len - suffix_start;
-                let max_fill = budget.min(available);
-                if max_fill < available {
-                    stats.budget_truncations += 1;
-                }
-                let mut found: Option<usize> = None;
-                for d in 0..=max_fill {
-                    let from = suffix_start + d;
-                    if from + post_window.len() > v.len {
-                        break;
-                    }
-                    if post_window
-                        .iter()
-                        .enumerate()
-                        .all(|(k, &s)| sym_compat(v.sym(from + k), s))
-                    {
-                        found = Some(d);
-                        break;
-                    }
-                }
-                let Some(d) = found else { continue };
-                let mut fill = Fill::default();
-                let (t0, t1) = match loss {
-                    Some(l) => (l.first_ts, l.last_ts),
-                    None => {
-                        let t = segments[is_seg].events.last().map(|e| e.ts).unwrap_or(0);
-                        (t, t)
-                    }
-                };
-                for k in 0..d {
-                    let i = suffix_start + k;
-                    let s = v.sym(i);
-                    let (m, b) = v.loc(i);
-                    let ts = if d > 1 {
-                        t0 + (t1 - t0) * k as u64 / (d as u64 - 1).max(1)
-                    } else {
-                        t0
-                    };
-                    fill.entries.push(TraceEntry {
-                        op: s.op,
-                        method: m.map(MethodId),
-                        bci: b.map(Bci),
-                        ts,
-                        origin: TraceOrigin::Recovered,
-                    });
-                    // Corpus entries carry no ICFG node (the corpus
-                    // outlives any one projection), so the linter grades
-                    // them like unlocated splices; seams carry over from
-                    // the corpus segment's recorded projection breaks.
-                    let boundary = k == 0 || v.breaks.binary_search(&(i as u32)).is_ok();
-                    fill.steps.push(LintStep {
-                        node: None,
-                        op: s.op,
-                        dir: s.dir,
-                        boundary,
-                        lossy: boundary,
-                    });
-                }
-                let runner_up = if idx == 0 {
-                    ranked.get(1).map(|&(_, s)| s).unwrap_or(0)
-                } else {
-                    ranked[0].1
-                };
-                let sole = ranked.len() == 1;
-                fill.confidence = cs_confidence(
-                    score,
-                    runner_up,
-                    sole,
-                    max_fill,
-                    available,
-                    fill.entries.len(),
-                    estimate,
-                );
-                stats.corpus_hits += 1;
-                stats.filled_from_cs += 1;
-                stats.recovered_events += fill.entries.len();
-                recorder.emit(JournalEvent::CorpusLookup {
-                    hole,
-                    candidates: scratch.corpus_cands.len() as u32,
-                    hit: true,
-                    cs_segment: seg,
-                    score: score.min(u32::MAX as usize) as u32,
-                    fill_len: fill.entries.len() as u32,
-                    confidence_ppm: ppm(fill.confidence),
-                });
-                return Some(fill);
-            }
-        }
-        stats.corpus_misses += 1;
+        let stored = |(seg, end): CorpusCandidate| (corpus.segment(seg), end as usize + 1);
+        let Some(won) = self.fill_from_ranked(&ranked, stored, ctx, stats) else {
+            stats.corpus_misses += 1;
+            recorder.emit(JournalEvent::CorpusLookup {
+                hole,
+                candidates,
+                hit: false,
+                cs_segment: 0,
+                score: 0,
+                fill_len: 0,
+                confidence_ppm: 0,
+            });
+            return None;
+        };
+        stats.corpus_hits += 1;
         recorder.emit(JournalEvent::CorpusLookup {
             hole,
-            candidates: scratch.corpus_cands.len() as u32,
-            hit: false,
-            cs_segment: 0,
-            score: 0,
-            fill_len: 0,
-            confidence_ppm: 0,
+            candidates,
+            hit: true,
+            cs_segment: won.cand.0,
+            score: won.score.min(u32::MAX as usize) as u32,
+            fill_len: won.fill.entries.len() as u32,
+            confidence_ppm: ppm(won.fill.confidence),
         });
+        Some(won.fill)
+    }
+
+    /// Confirm → splice → confidence over one source's ranked
+    /// candidates: the first candidate, in rank order, whose suffix
+    /// confirms the post-hole window within the budget is spliced into
+    /// the hole and scored. `source` maps a candidate to its complete
+    /// segment and the suffix start right after its anchor.
+    fn fill_from_ranked<C: Copy, S: CsSource>(
+        &self,
+        ranked: &[(C, usize)],
+        source: impl Fn(C) -> (S, usize),
+        ctx: &HoleCtx<'_>,
+        stats: &mut RecoveryStats,
+    ) -> Option<CsFill<C>> {
+        // A `y`-window cut to nothing by an empty post segment can never
+        // confirm: no candidate is scanned, so none counts a budget
+        // truncation either.
+        if self.cfg.confirm_len > 0 && ctx.post_window.is_empty() {
+            return None;
+        }
+        for (idx, &(cand, score)) in ranked.iter().enumerate() {
+            let (cs, suffix_start) = source(cand);
+            let Some(hit) = confirm_scan(cs, suffix_start, ctx, stats) else {
+                continue;
+            };
+            let mut fill = splice(cs, suffix_start, hit.d, ctx.span);
+            // Margin over the best *other* ranked score: candidates
+            // earlier in rank order failed to confirm, so a non-top
+            // winner gets margin 0 (its score was not the best).
+            let runner_up = if idx == 0 {
+                ranked.get(1).map_or(0, |&(_, s)| s)
+            } else {
+                ranked[0].1
+            };
+            fill.confidence = cs_confidence(
+                score,
+                runner_up,
+                ranked.len() == 1,
+                hit.max_fill,
+                hit.available,
+                fill.entries.len(),
+                ctx.estimate,
+            );
+            stats.filled_from_cs += 1;
+            stats.recovered_events += fill.entries.len();
+            return Some(CsFill {
+                cand,
+                score,
+                runner_up,
+                truncated: hit.max_fill < hit.available,
+                fill,
+            });
+        }
         None
     }
 
@@ -1323,62 +1449,6 @@ impl<'a> Recovery<'a> {
         ((span as f64 * rate * self.cfg.budget_factor) as usize).clamp(4, 100_000)
     }
 
-    fn entries_from_cs(
-        &self,
-        segments: &[SegmentView],
-        cs_seg: usize,
-        from: usize,
-        len: usize,
-        is_seg: usize,
-        loss: Option<LossRecord>,
-    ) -> Fill {
-        let cs = &segments[cs_seg];
-        let (t0, t1) = match loss {
-            Some(l) => (l.first_ts, l.last_ts),
-            None => {
-                let t = segments[is_seg].events.last().map(|e| e.ts).unwrap_or(0);
-                (t, t)
-            }
-        };
-        let mut fill = Fill::default();
-        for k in 0..len {
-            let e = &cs.events[from + k];
-            let node = cs.nodes[from + k];
-            let ts = if len > 1 {
-                t0 + (t1 - t0) * k as u64 / (len as u64 - 1).max(1)
-            } else {
-                t0
-            };
-            let (method, bci) = match node {
-                Some(n) => {
-                    let (m, b) = self.icfg.location(n);
-                    (Some(m), Some(b))
-                }
-                None => (e.method, e.bci),
-            };
-            fill.entries.push(TraceEntry {
-                op: e.sym.op,
-                method,
-                bci,
-                ts,
-                origin: TraceOrigin::Recovered,
-            });
-            // The splice itself is a seam; inside the window, the CS's own
-            // projection seams carry over.
-            let boundary = k == 0 || cs.breaks.binary_search(&(from + k)).is_ok();
-            // Spliced content stands in for events the hardware dropped:
-            // every seam inside it is lossy for the linter.
-            fill.steps.push(LintStep {
-                node,
-                op: e.sym.op,
-                dir: e.sym.dir,
-                boundary,
-                lossy: boundary,
-            });
-        }
-        fill
-    }
-
     /// Fallback: bounded breadth-first walk on the ICFG from the last
     /// projected node before the hole to the first projected node after
     /// it (the paper "walks the ICFG and returns a random path").
@@ -1434,10 +1504,7 @@ impl<'a> Recovery<'a> {
         path.reverse();
         // Drop the final node (it is the post segment's first event).
         path.pop();
-        let (t0, t1) = match loss {
-            Some(l) => (l.first_ts, l.last_ts),
-            None => (0, 0),
-        };
+        let (t0, t1) = loss.map_or((0, 0), |l| (l.first_ts, l.last_ts));
         let len = path.len().max(1) as u64;
         let mut fill = Fill::default();
         for (k, &n) in path.iter().enumerate() {
@@ -1554,7 +1621,7 @@ mod tests {
     }
 
     /// The summary prefilter's `can_confirm` must agree exactly with the
-    /// literal confirm-scan success condition of `fill_hole_with` (scan
+    /// confirm scan both sources fill through (scan
     /// `d ∈ 0..=budget.min(available)` for a window match): a pruned
     /// candidate that the scan would actually confirm changes the chosen
     /// fill, breaking the on/off report equivalence. Segments stay below
@@ -1594,24 +1661,20 @@ mod tests {
                     .map(|_| sym(pool[(splitmix(&mut s) % pool.len() as u64) as usize]))
                     .collect();
                 let budget = (splitmix(&mut s) % 40) as usize;
-                let got = rec.can_confirm(
-                    (0, end),
-                    &ConfirmCtx {
-                        post_window: &window,
-                        budget,
-                    },
-                );
-                // Literal reimplementation of the confirm scan.
-                let suffix_start = end + 1;
-                let available = len.saturating_sub(suffix_start);
-                let expect = (0..=budget.min(available)).any(|d| {
-                    let from = suffix_start + d;
-                    from + y <= len
-                        && window
-                            .iter()
-                            .enumerate()
-                            .all(|(k, &w)| sym_compat(sym(ops[from + k]), w))
-                });
+                let ctx = HoleCtx {
+                    post_window: &window,
+                    budget,
+                    span: (0, 0),
+                    estimate: 0.0,
+                };
+                let got = rec.can_confirm((0, end), &ctx);
+                let cs = RunSeg {
+                    syms: &rec.indexed[0].syms,
+                    view: &segs[0],
+                    icfg: &icfg,
+                };
+                let expect =
+                    confirm_scan(cs, end + 1, &ctx, &mut RecoveryStats::default()).is_some();
                 assert_eq!(
                     got, expect,
                     "ops={ops:?} end={end} window={window:?} budget={budget}"
@@ -1683,7 +1746,14 @@ mod tests {
         };
         let rec = Recovery::new(&p, &icfg, &segs, cfg);
         let mut stats = RecoveryStats::default();
-        let fill = rec.fill_hole(&segs, 2, 3, segs[3].loss_before, &mut stats);
+        let fill = rec.fill_hole_with(
+            &segs,
+            2,
+            3,
+            segs[3].loss_before,
+            &mut stats,
+            &mut FillScratch::new(),
+        );
         // Fill must be G H X (the CS suffix up to where BDC matches).
         let ops: Vec<OpKind> = fill.entries.iter().map(|e| e.op).collect();
         assert_eq!(ops, vec![OpKind::Ishl, OpKind::Ishr, OpKind::Dup]);
@@ -1696,6 +1766,78 @@ mod tests {
         assert!(fill.steps[0].boundary);
         assert_eq!(stats.filled_from_cs, 1);
         assert_eq!(stats.holes, 1);
+    }
+
+    /// Both sources splice through one path: Figure 6's winning CS,
+    /// harvested into a corpus, fills the hole with exactly the entries
+    /// and seams the in-run splice produces.
+    #[test]
+    fn corpus_splice_equals_in_run_splice() {
+        let (p, icfg, mut segs) = figure6();
+        for (i, e) in segs[0].events.iter_mut().enumerate() {
+            e.method = Some(MethodId(0));
+            e.bci = Some(Bci(i as u32));
+        }
+        // A projection seam inside the spliced window `G H X` (6..=8).
+        segs[0].breaks = vec![7];
+        let cfg = RecoveryConfig {
+            anchor_len: 3,
+            confirm_len: 3,
+            budget_factor: 16.0,
+            ..RecoveryConfig::default()
+        };
+        let loss = segs[3].loss_before;
+        let mut stats = RecoveryStats::default();
+        let in_run = Recovery::new(&p, &icfg, &segs, cfg).fill_hole_with(
+            &segs,
+            2,
+            3,
+            loss,
+            &mut stats,
+            &mut FillScratch::new(),
+        );
+        assert_eq!(stats.filled_from_cs, 1);
+
+        let mut builder = jportal_corpus::CorpusBuilder::new(cfg.anchor_len);
+        let (syms, locs, breaks) = segs[0].harvest(&icfg);
+        assert!(builder.insert(&syms, &locs, &breaks));
+        let corpus = builder.finish();
+        // Without the good CS in-run only the decoy is left, which cannot
+        // confirm, so the hole falls through to the corpus.
+        let rest = segs[1..].to_vec();
+        let mut stats = RecoveryStats::default();
+        let from_corpus = Recovery::new(&p, &icfg, &rest, cfg)
+            .with_corpus(&corpus)
+            .fill_hole_with(&rest, 1, 2, loss, &mut stats, &mut FillScratch::new());
+        assert_eq!(stats.corpus_hits, 1);
+        assert_eq!(from_corpus.entries, in_run.entries);
+        let boundaries = |f: &Fill| f.steps.iter().map(|s| s.boundary).collect::<Vec<_>>();
+        assert_eq!(boundaries(&from_corpus), boundaries(&in_run));
+        assert_eq!(boundaries(&in_run), vec![true, true, false]);
+    }
+
+    /// An empty post window (only a direct call with an empty post
+    /// segment produces one; compaction keeps `analyze` from it) can
+    /// never confirm: no candidate is scanned, so none counts a budget
+    /// truncation, even where the budget is far shorter than the suffix.
+    #[test]
+    fn empty_post_window_scans_no_candidate() {
+        let (p, icfg, mut segs) = figure6();
+        segs[3] = seg_from_ops(&[]);
+        let loss = LossRecord {
+            stream_offset: 0,
+            first_ts: 60,
+            last_ts: 61,
+            lost_bytes: 1,
+            lost_packets: 1,
+        };
+        let rec = Recovery::new(&p, &icfg, &segs, RecoveryConfig::default());
+        let mut stats = RecoveryStats::default();
+        let fill = rec.fill_hole_with(&segs, 2, 3, Some(loss), &mut stats, &mut FillScratch::new());
+        assert!(fill.entries.is_empty());
+        assert!(stats.candidates > 0, "the anchor has candidates: {stats:?}");
+        assert_eq!(stats.budget_truncations, 0);
+        assert_eq!(stats.unfilled, 1);
     }
 
     #[test]
@@ -1727,7 +1869,14 @@ mod tests {
         };
         let rec = Recovery::new(&p, &icfg, &segs, cfg);
         let mut stats = RecoveryStats::default();
-        let fill = rec.fill_hole(&segs, 2, 3, segs[3].loss_before, &mut stats);
+        let fill = rec.fill_hole_with(
+            &segs,
+            2,
+            3,
+            segs[3].loss_before,
+            &mut stats,
+            &mut FillScratch::new(),
+        );
         assert_eq!(fill.entries.first().unwrap().ts, 60);
         assert_eq!(fill.entries.last().unwrap().ts, 100);
     }
@@ -1743,7 +1892,7 @@ mod tests {
         ];
         let rec = Recovery::new(&p, &icfg, &segs, RecoveryConfig::default());
         let mut stats = RecoveryStats::default();
-        let fill = rec.fill_hole(&segs, 0, 1, None, &mut stats);
+        let fill = rec.fill_hole_with(&segs, 0, 1, None, &mut stats, &mut FillScratch::new());
         assert!(fill.entries.is_empty());
         assert_eq!(stats.unfilled, 1);
     }
@@ -1760,7 +1909,7 @@ mod tests {
         let segs = vec![is, post];
         let rec = Recovery::new(&p, &icfg, &segs, RecoveryConfig::default());
         let mut stats = RecoveryStats::default();
-        let fill = rec.fill_hole(&segs, 0, 1, None, &mut stats);
+        let fill = rec.fill_hole_with(&segs, 0, 1, None, &mut stats, &mut FillScratch::new());
         assert_eq!(stats.filled_by_walk, 1);
         // The walk passes through bci 1 (pop).
         assert_eq!(fill.entries.len(), 1);
@@ -1782,7 +1931,7 @@ mod tests {
         let segs = vec![is, post];
         let rec = Recovery::new(&p, &icfg, &segs, RecoveryConfig::default());
         let mut stats = RecoveryStats::default();
-        let fill = rec.fill_hole(&segs, 0, 1, None, &mut stats);
+        let fill = rec.fill_hole_with(&segs, 0, 1, None, &mut stats, &mut FillScratch::new());
         assert_eq!(stats.filled_by_walk, 1);
 
         // Splice the fill between the located IS tail and post head, the
