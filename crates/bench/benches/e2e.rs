@@ -4,13 +4,13 @@
 //!
 //! Besides the criterion groups, this bench maintains `BENCH_e2e.json`
 //! at the repo root under the shared baseline protocol
-//! (`jportal_bench::gate`): the median end-to-end analysis wall time and
-//! the journal/telemetry overhead delta (observability on vs off, median
-//! of paired order-alternated runs), so CI keeps a machine-readable
-//! record of both numbers per commit. A median more than 10% over the
-//! committed one, or a large-trace median and throughput that both
-//! regress >10%, refuses the overwrite in a full run; neither fails a
-//! quick run.
+//! (`jportal_bench::gate`): the median and fastest end-to-end analysis
+//! wall time and the journal/telemetry overhead delta (observability on
+//! vs off, median of paired order-alternated runs), so CI keeps a
+//! machine-readable record of these numbers per commit. A fastest run
+//! more than 10% over the committed one, or a large-trace median and
+//! throughput that both regress >10%, refuses the overwrite in a full
+//! run; neither fails a quick run.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use jportal_bench::gate::{self, Baseline, Mode};
@@ -74,6 +74,14 @@ fn measure_large(mode: Mode) -> LargeNumbers {
     }
 }
 
+/// Small-trace repetitions per configuration in a full run. One
+/// analysis takes under a millisecond, so a thousand pairs cost about
+/// two seconds. The regression check reads the fastest of them: on a
+/// shared machine scheduler and cache noise only ever add time, and a
+/// median of a few dozen sub-millisecond runs moves by more than the
+/// 10% line between identical runs.
+const SMALL_REPS: usize = 1001;
+
 /// Measures the end-to-end medians and commits `BENCH_e2e.json`.
 fn write_e2e_report(
     mode: Mode,
@@ -82,7 +90,7 @@ fn write_e2e_report(
     large: &LargeNumbers,
 ) {
     let traces = r.traces.as_ref().unwrap();
-    let reps = if mode.quick { 5 } else { 15 };
+    let reps = if mode.quick { 31 } else { SMALL_REPS };
     let build = |observability: bool| {
         JPortal::with_config(
             &w.program,
@@ -100,22 +108,25 @@ fn write_e2e_report(
         || jp_on.analyze(traces, &r.archive),
     );
     let off_median = gate::median(&off);
+    let off_min = gate::min(&off);
     let on_median = gate::median(&on);
     let delta = on_median / off_median - 1.0;
     println!(
-        "e2e: median {:.3} ms, journal overhead {:+.1}%, large trace {} events at {:.0} ev/s",
+        "e2e: median {:.3} ms, fastest {:.3} ms, journal overhead {:+.1}%, \
+         large trace {} events at {:.0} ev/s",
         off_median * 1e3,
+        off_min * 1e3,
         delta * 100.0,
         large.events,
         large.events_per_second()
     );
 
     let mut base = Baseline::open("BENCH_e2e.json", mode);
-    if let Some(committed) = base.number("e2e_median_seconds") {
-        if off_median > committed * 1.10 {
+    if let Some(committed) = base.number("e2e_min_seconds") {
+        if off_min > committed * 1.10 {
             base.regress(&format!(
-                "median {:.3} ms regresses the committed {:.3} ms by >10%",
-                off_median * 1e3,
+                "fastest run {:.3} ms regresses the committed {:.3} ms by >10%",
+                off_min * 1e3,
                 committed * 1e3
             ));
         }
@@ -142,6 +153,7 @@ fn write_e2e_report(
         ("workload", format!("\"{}\"", w.name)),
         ("iterations", reps.to_string()),
         ("e2e_median_seconds", format!("{off_median:.6}")),
+        ("e2e_min_seconds", format!("{off_min:.6}")),
         ("e2e_with_journal_median_seconds", format!("{on_median:.6}")),
         ("journal_overhead_delta", format!("{delta:.4}")),
         (

@@ -14,6 +14,7 @@ use jportal_bytecode::Program;
 use jportal_cfg::abs::{AbstractNfa, DfaCacheStats};
 use jportal_cfg::{Icfg, MatchScratch};
 use jportal_corpus::{Corpus, CorpusBuilder};
+use jportal_ipt::ring::LossRecord;
 use jportal_ipt::{CollectedTraces, CollectionStats, ThreadId};
 use jportal_jvm::MetadataArchive;
 use jportal_obs::{
@@ -26,7 +27,8 @@ use crate::decode::{decode_segment_with, WalkIndex};
 use crate::quality::{FillQuality, QualityReport, ThreadQuality};
 use crate::reconstruct::{project_segment_with, ProjectionConfig, ProjectionStats};
 use crate::recover::{
-    event_loc, FillScratch, HarvestSeg, Recovery, RecoveryConfig, RecoveryStats, SegmentView,
+    event_loc, Fill, FillScratch, HarvestSeg, Recovery, RecoveryConfig, RecoveryStats, SearchWork,
+    SegmentView,
 };
 pub use crate::recover::{TraceEntry, TraceOrigin};
 use crate::threads::{segregate_with_stats, ThreadPiece};
@@ -75,8 +77,8 @@ pub struct JPortalConfig {
     /// `Some(1)` is the exact legacy sequential path (no threads spawned).
     ///
     /// The report is **identical for every setting** — parallel stages
-    /// reassemble their results in deterministic order, and recovery runs
-    /// sequentially within each thread.
+    /// reassemble their results in deterministic order, including a
+    /// thread's holes when spare workers fill them in parallel.
     pub parallelism: Option<usize>,
     /// Record telemetry (metrics and spans) during analysis. Designed to
     /// be cheap enough to leave on in production: the hot matcher inner
@@ -265,14 +267,22 @@ pub struct JPortal<'p> {
     profiler: Option<std::sync::Arc<Profiler>>,
 }
 
+/// Candidates a thread's hole searches stream, summed, below which its
+/// holes are filled on the calling thread even with workers to spare:
+/// the worker threads cost more than the searches they would share. On
+/// 2 vCPUs the lossy fop@3 trace (34 holes, 22k candidates) ran 10%
+/// slower with two workers, fop@4 (71 holes, 91k) about as fast, and
+/// fop@5 (124 holes, 1.09M) 45% faster.
+const HOLE_FAN_OUT_MIN_CANDIDATES: usize = 1 << 16;
+
 /// One assembled thread: its report, fill quality, harvested segments
-/// when harvesting, and its anchor-index size when the recovery engine
-/// was built.
+/// when harvesting, and, when the recovery engine was built, its
+/// anchor-index size and the work its candidate searches did.
 type Assembled = (
     ThreadReport,
     ThreadQuality,
     Option<Vec<HarvestSeg>>,
-    Option<usize>,
+    Option<(usize, SearchWork)>,
 );
 
 /// Stops the sampler thread (and decrements the global profiling
@@ -594,23 +604,28 @@ impl<'p> JPortal<'p> {
         }
         self.tick_stage();
 
-        // Level 2: per-thread assembly, fanned out across threads.
+        // Level 2: per-thread assembly, fanned out across threads; the
+        // workers left over when there are fewer threads fan out each
+        // thread's holes.
         let harvesting = harvest.is_some();
+        let hole_workers = workers / grouped.len().max(1);
         let assembled: Vec<Assembled> = jportal_par::par_map_owned(
             workers,
             grouped,
             &par_metrics,
             |_, (thread, views, projection)| {
-                self.assemble_thread(thread, views, projection, harvesting)
+                self.assemble_thread(thread, views, projection, harvesting, hole_workers)
             },
         );
         let mut threads = Vec::with_capacity(assembled.len());
         let mut quality = QualityReport::default();
         let (mut index_builds, mut anchor_inserts) = (0u64, 0u64);
+        let mut search_work = SearchWork::default();
         for (t, q, h, index) in assembled {
-            if let Some(inserts) = index {
+            if let Some((inserts, work)) = index {
                 index_builds += 1;
                 anchor_inserts += inserts as u64;
+                search_work.merge(&work);
             }
             // Harvest inserts happen here — after the join, in sorted
             // thread order — so the builder's segment order (and the
@@ -646,6 +661,8 @@ impl<'p> JPortal<'p> {
             }
             exact("core.recover.index_builds", index_builds);
             exact("core.recover.anchor_inserts", anchor_inserts);
+            exact("core.recover.window_probes", search_work.window_probes);
+            exact("core.recover.tier_symbols", search_work.tier_symbols);
             if let Some(corpus) = self.corpus.as_deref() {
                 reg.gauge("core.corpus.segments", MetricClass::Exact)
                     .set_max(corpus.segment_count() as u64);
@@ -686,22 +703,25 @@ impl<'p> JPortal<'p> {
     }
 
     /// Compacts one thread's projected segments, recovers across lossy
-    /// boundaries and emits the final timeline. Holes are filled one
-    /// after another, but each fill reads only the compacted segments,
-    /// never an earlier fill.
+    /// boundaries and emits the final timeline. Each fill reads only the
+    /// compacted segments, never an earlier fill, so the holes are
+    /// independent: with `hole_workers > 1` they fan out over the shared
+    /// recovery engine, each with its own scratch, stats and journal
+    /// recorder, and everything is merged and emitted in hole order.
     ///
     /// The recovery engine, and with it the anchor and op-position
-    /// indices, is built at the first hole it fills: a thread with no
-    /// holes, or any thread with recovery disabled, never pays for it.
+    /// indices, is built only when the thread has a hole to fill: a
+    /// thread with no holes, or any thread with recovery disabled, never
+    /// pays for it.
     fn assemble_thread(
         &self,
         thread: ThreadId,
         views: Vec<SegmentView>,
         projection: ProjectionStats,
         harvest: bool,
+        hole_workers: usize,
     ) -> Assembled {
         let obs = &self.obs;
-        let mut recorder = obs.journal_recorder(thread.0);
         let _assemble = obs
             .span("recover", "assemble_thread")
             .parent("analyze")
@@ -722,62 +742,95 @@ impl<'p> JPortal<'p> {
             compacted.push(v);
         }
 
-        // Assemble the timeline, recovering across lossy boundaries.
-        let mut recovery_stats = RecoveryStats::default();
-        let mut holes = Vec::new();
-        let mut recovery: Option<Recovery<'_>> = None;
-        // With no hole to fill, the timeline is exactly the decoded
-        // events: reserve it once. Fills would overflow the reservation
-        // into a doubled buffer, so lossy threads grow as they go.
-        let fills_ahead = !self.config.disable_recovery
-            && compacted.iter().skip(1).any(|v| v.loss_before.is_some());
-        let capacity = if fills_ahead {
-            0
-        } else {
-            compacted.iter().map(|s| s.events.len()).sum()
-        };
-        let mut entries: Vec<TraceEntry> = Vec::with_capacity(capacity);
-        let mut steps: Vec<LintStep> = Vec::with_capacity(capacity);
-        let mut fills: Vec<FillQuality> = Vec::new();
-        // One walk scratch for all of this thread's holes.
-        let mut fill_scratch = FillScratch::new();
+        // Fill every hole: the segment after it and its loss record.
+        let lossy: Vec<(usize, LossRecord)> = compacted
+            .iter()
+            .enumerate()
+            .skip(1)
+            .filter_map(|(i, v)| Some((i, v.loss_before?)))
+            .collect();
+        let holes: Vec<(u64, u64)> = lossy.iter().map(|(_, l)| (l.first_ts, l.last_ts)).collect();
+        let recovery = (!self.config.disable_recovery && !lossy.is_empty())
+            .then(|| self.recovery_engine(&compacted));
         let fill_sketch = obs.registry().sketch("core.recover.fill_wall_us");
-        for i in 0..compacted.len() {
-            if i > 0 {
-                if let Some(loss) = compacted[i].loss_before {
-                    holes.push((loss.first_ts, loss.last_ts));
-                    if !self.config.disable_recovery {
-                        let recovery =
-                            recovery.get_or_insert_with(|| self.recovery_engine(&compacted));
-                        // Parent defaults to the enclosing
-                        // `assemble_thread` span via the worker's stack.
+        let filled: Vec<(Fill, RecoveryStats, SearchWork, usize)> = match &recovery {
+            None => Vec::new(),
+            Some(recovery) => {
+                let candidates: usize = lossy
+                    .iter()
+                    .map(|&(i, _)| recovery.anchor_hits(i - 1))
+                    .sum();
+                let workers = if candidates >= HOLE_FAN_OUT_MIN_CANDIDATES {
+                    hole_workers
+                } else {
+                    1
+                };
+                jportal_par::par_map(
+                    workers,
+                    &lossy,
+                    &jportal_par::ParMetrics::noop(),
+                    |h, &(i, loss)| {
+                        let hole = h + 1;
+                        // Pinned to the thread's span: a fan-out worker
+                        // starts with an empty span stack.
                         let _fill = obs
                             .span("recover", "fill_hole")
+                            .parent("assemble_thread")
                             .arg("thread", thread.0)
-                            .arg("hole", holes.len())
+                            .arg("hole", hole)
                             .record_sketch(&fill_sketch);
+                        let (mut stats, mut scratch) =
+                            (RecoveryStats::default(), FillScratch::new());
                         let fill = recovery.fill_hole_journaled(
                             &compacted,
                             i - 1,
                             i,
                             Some(loss),
-                            &mut recovery_stats,
-                            &mut fill_scratch,
-                            &mut recorder,
-                            holes.len() as u32,
+                            &mut stats,
+                            &mut scratch,
+                            &mut obs.journal_recorder(thread.0),
+                            hole as u32,
                         );
-                        fills.push(FillQuality {
-                            hole: holes.len(),
-                            origin: fill.entries.first().map(|e| e.origin),
-                            confidence: fill.confidence,
-                            entries: fill.entries.len(),
-                        });
-                        entries.extend(fill.entries);
-                        steps.extend(fill.steps);
-                    }
+                        (fill, stats, scratch.work(), scratch.high_water())
+                    },
+                )
+            }
+        };
+        let mut recovery_stats = RecoveryStats::default();
+        let mut work = SearchWork::default();
+        let mut scratch_hw = 0;
+        for (_, stats, hole_work, hw) in &filled {
+            recovery_stats.merge(stats);
+            work.merge(hole_work);
+            scratch_hw = scratch_hw.max(*hw);
+        }
+        // Scheduling-dependent: the gauge is the max over whichever
+        // threads each worker assembled.
+        obs.registry()
+            .gauge("core.recover.fill_scratch_hw", MetricClass::Scheduling)
+            .set_max(scratch_hw as u64);
+
+        // Emit the timeline: each fill right before the segment after
+        // its hole.
+        let capacity = compacted.iter().map(|s| s.events.len()).sum::<usize>()
+            + filled.iter().map(|(f, ..)| f.entries.len()).sum::<usize>();
+        let mut entries: Vec<TraceEntry> = Vec::with_capacity(capacity);
+        let mut steps: Vec<LintStep> = Vec::with_capacity(capacity);
+        let mut fills: Vec<FillQuality> = Vec::with_capacity(filled.len());
+        let mut filled = filled.into_iter().map(|(fill, ..)| fill);
+        for (i, seg) in compacted.iter().enumerate() {
+            if i > 0 && seg.loss_before.is_some() {
+                if let Some(fill) = filled.next() {
+                    fills.push(FillQuality {
+                        hole: fills.len() + 1,
+                        origin: fill.entries.first().map(|e| e.origin),
+                        confidence: fill.confidence,
+                        entries: fill.entries.len(),
+                    });
+                    entries.extend(fill.entries);
+                    steps.extend(fill.steps);
                 }
             }
-            let seg = &compacted[i];
             debug_assert!(
                 seg.breaks.first() != Some(&0) && seg.breaks.windows(2).all(|w| w[0] < w[1]),
                 "projection breaks must be strictly ascending and never 0"
@@ -808,15 +861,10 @@ impl<'p> JPortal<'p> {
             }
         }
 
-        // Scheduling-dependent: the gauge is the max over whichever
-        // threads each worker assembled.
-        obs.registry()
-            .gauge("core.recover.fill_scratch_hw", MetricClass::Scheduling)
-            .set_max(fill_scratch.high_water() as u64);
-
         let lint = if self.config.lint {
             // Lint breaks go under the reserved segment key so they sort
             // after every per-segment decision for the thread.
+            let mut recorder = obs.journal_recorder(thread.0);
             recorder.set_segment(jportal_obs::journal::LINT_SEGMENT);
             lint_steps_journaled(
                 self.program,
@@ -851,7 +899,7 @@ impl<'p> JPortal<'p> {
             },
             ThreadQuality { thread, fills },
             harvested,
-            recovery.map(|r| r.anchor_inserts()),
+            recovery.map(|r| (r.anchor_inserts(), work)),
         )
     }
 

@@ -362,8 +362,13 @@ struct IndexedSegment {
     packed: PackedSyms,
     /// Positions of tier-1 (call-structure) symbols.
     t1: Vec<u32>,
+    /// The tier-1 symbols themselves, contiguous: `t1_syms[j] ==
+    /// syms[t1[j]]`, so a tier-1 suffix compare reads adjacent memory.
+    t1_syms: Vec<Sym>,
     /// Positions of tier-2 (control) symbols.
     t2: Vec<u32>,
+    /// The tier-2 symbols, contiguous like `t1_syms`.
+    t2_syms: Vec<Sym>,
     /// Positions of each [`OpKind`] in `syms`, indexed by
     /// [`OpKind::index`]. Empty until [`IndexedSegment::build_op_index`]
     /// runs (only the summary prefilter reads it).
@@ -374,25 +379,46 @@ impl IndexedSegment {
     fn new(view: &SegmentView) -> IndexedSegment {
         let events = &view.events;
         let syms: Vec<Sym> = events.iter().map(|e| e.sym).collect();
-        let mut t1 = Vec::new();
-        let mut t2 = Vec::new();
-        for (i, s) in syms.iter().enumerate() {
-            match Tier::of_op(s.op) {
-                Tier::CallStructure => {
-                    t1.push(i as u32);
-                    t2.push(i as u32);
-                }
-                Tier::Control => t2.push(i as u32),
-                Tier::Concrete => {}
+        let (mut t1, mut t1_syms, mut t2, mut t2_syms) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        for (i, &s) in syms.iter().enumerate() {
+            let tier = Tier::of_op(s.op);
+            if tier == Tier::CallStructure {
+                t1.push(i as u32);
+                t1_syms.push(s);
+            }
+            if tier != Tier::Concrete {
+                t2.push(i as u32);
+                t2_syms.push(s);
             }
         }
         IndexedSegment {
             packed: PackedSyms::from_syms(&syms),
             syms,
             t1,
+            t1_syms,
             t2,
+            t2_syms,
             op_pos: Vec::new(),
         }
+    }
+
+    /// Common-suffix length of this whole segment and `other[..b]` at
+    /// the concrete tier, through the SWAR kernel, eight symbols per
+    /// step. Pinned byte-identical to the scalar backward scan by the
+    /// corpus crate's `swar_equivalence` proptest suite — the packed
+    /// `compat` (equal op byte, non-contradicting 2-bit dir codes) is
+    /// exactly `sym_compat`.
+    fn concrete_suffix(&self, other: &IndexedSegment, b: usize) -> usize {
+        suffix_swar(
+            &self.packed.ops,
+            &self.packed.dirs,
+            self.syms.len(),
+            &other.packed.ops,
+            &other.packed.dirs,
+            b,
+            usize::MAX,
+        )
     }
 
     /// Builds the per-[`OpKind`] position index used by the summary
@@ -406,63 +432,20 @@ impl IndexedSegment {
             self.op_pos[s.op.index()].push(i as u32);
         }
     }
+}
 
-    /// Number of tier-l symbols at or before position `end` (exclusive).
-    fn tier_count_before(&self, tier: Tier, end: usize) -> usize {
-        let idx = match tier {
-            Tier::CallStructure => &self.t1,
-            Tier::Control => &self.t2,
-            Tier::Concrete => return end,
-        };
-        idx.partition_point(|&p| (p as usize) < end)
-    }
-
-    /// Backward common-suffix length at tier `tier` between `self[..a]`
-    /// and `other[..b]`, capped at `cap` comparisons.
-    fn tier_suffix(
-        &self,
-        a: usize,
-        other: &IndexedSegment,
-        b: usize,
-        tier: Tier,
-        cap: usize,
-    ) -> usize {
-        match tier {
-            // Concrete tier: the SWAR kernel, eight symbols per step.
-            // Pinned byte-identical to the scalar backward scan by the
-            // corpus crate's `swar_equivalence` proptest suite — the
-            // packed `compat` (equal op byte, non-contradicting 2-bit
-            // dir codes) is exactly `sym_compat`.
-            Tier::Concrete => suffix_swar(
-                &self.packed.ops,
-                &self.packed.dirs,
-                a,
-                &other.packed.ops,
-                &other.packed.dirs,
-                b,
-                cap,
-            ),
-            _ => {
-                let (ia, ib) = match tier {
-                    Tier::CallStructure => (&self.t1, &other.t1),
-                    Tier::Control => (&self.t2, &other.t2),
-                    Tier::Concrete => unreachable!(),
-                };
-                let ca = self.tier_count_before(tier, a);
-                let cb = other.tier_count_before(tier, b);
-                let mut n = 0;
-                while n < cap && n < ca && n < cb {
-                    let pa = ia[ca - 1 - n] as usize;
-                    let pb = ib[cb - 1 - n] as usize;
-                    if !sym_compat(self.syms[pa], other.syms[pb]) {
-                        break;
-                    }
-                    n += 1;
-                }
-                n
-            }
-        }
-    }
+/// Backward common-suffix length of two tier symbol streams, capped at
+/// `cap` symbols; `read` counts the symbol pairs compared.
+fn common_suffix(a: &[Sym], b: &[Sym], cap: usize, read: &mut u64) -> usize {
+    let limit = cap.min(a.len()).min(b.len());
+    let n = a[a.len() - limit..]
+        .iter()
+        .rev()
+        .zip(b[b.len() - limit..].iter().rev())
+        .take_while(|&(&x, &y)| sym_compat(x, y))
+        .count();
+    *read += (n + 1).min(limit) as u64;
+    n
 }
 
 /// A CS candidate: `(segment index, anchor end offset)` — the anchor's
@@ -481,11 +464,210 @@ struct HoleCtx<'w> {
     estimate: f64,
 }
 
-/// Occurrence probes [`Recovery::can_confirm`] spends per candidate
-/// before giving up and keeping it. Keeps the prefilter's worst case
-/// (a window of ubiquitous op kinds) cheaper than the scoring it
-/// short-circuits; an undecided candidate is simply not pruned.
+/// Rare-op positions a candidate's range may hold before the summary
+/// prefilter keeps it undecided: a candidate with more than this many is
+/// alive without a probe. Keeps the prefilter's worst case (a window of
+/// ubiquitous op kinds) cheaper than the scoring it short-circuits; an
+/// undecided candidate is simply not pruned.
 const CONFIRM_PROBE_CAP: usize = 64;
+
+/// Work counts of the candidate search, recorded as exact counters after
+/// the join. They are not [`RecoveryStats`] fields: they measure the
+/// search's cost, not its decisions, and the stats are part of every
+/// report.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct SearchWork {
+    /// Rare-op positions at which the summary prefilter compared the
+    /// post-hole window.
+    pub(crate) window_probes: u64,
+    /// Symbol pairs the tier-1 and tier-2 suffix comparisons read.
+    pub(crate) tier_symbols: u64,
+}
+
+impl SearchWork {
+    pub(crate) fn merge(&mut self, other: &SearchWork) {
+        self.window_probes += other.window_probes;
+        self.tier_symbols += other.tier_symbols;
+    }
+}
+
+/// The summary prefilter over one segment's candidates, in ascending
+/// anchor order. A candidate whose suffix starts at `s` can confirm iff
+/// the post-hole window occurs at a start in `[s, hi(s)]` with
+/// `hi(s) = min(s + budget, len - y)`, so a window start the prefilter
+/// compares must be a position of the window's rarest op kind, shifted
+/// by that op's offset. Both range ends only grow with `s`: two cursors
+/// over those positions slide along the segment, each position's window
+/// compare runs at most once per hole, and the rightmost match in a
+/// range keeps every later candidate that starts at or before it alive
+/// without a look. A candidate is alive if more than
+/// [`CONFIRM_PROBE_CAP`] positions fall in its range, or if one of them
+/// matches the window.
+struct Sweep<'r> {
+    /// The segment's symbols.
+    syms: &'r [Sym],
+    /// Positions of the window's rarest op kind in the segment.
+    positions: &'r [u32],
+    /// That op's offset in the window.
+    k_rare: usize,
+    /// First position at or after the last counted range's start.
+    lo: usize,
+    /// First position past the last counted range's end.
+    hi: usize,
+    /// Every position in `lo..compared` past `found` was compared and
+    /// did not match.
+    compared: usize,
+    /// Start of the rightmost window found to match.
+    found: Option<usize>,
+}
+
+impl<'r> Sweep<'r> {
+    /// A sweep over `cs` whose first candidate's suffix starts at
+    /// `suffix_start`. The rarest op kind is the first of the window's
+    /// least frequent in `cs`.
+    fn new(cs: &'r IndexedSegment, window: &[Sym], suffix_start: usize) -> Sweep<'r> {
+        let k_rare = (0..window.len())
+            .min_by_key(|&k| cs.op_pos[window[k].op.index()].len())
+            .unwrap_or(0);
+        let positions = &cs.op_pos[window[k_rare].op.index()][..];
+        let lo = positions.partition_point(|&p| (p as usize) < suffix_start + k_rare);
+        Sweep {
+            syms: &cs.syms,
+            positions,
+            k_rare,
+            lo,
+            hi: lo,
+            compared: lo,
+            found: None,
+        }
+    }
+
+    /// Whether the candidate whose suffix starts at `suffix_start` (no
+    /// lower than the previous call's) can confirm the hole `ctx`;
+    /// `probes` counts the window compares this call ran.
+    fn alive(&mut self, ctx: &HoleCtx<'_>, suffix_start: usize, probes: &mut u64) -> bool {
+        let window = ctx.post_window;
+        let len = self.syms.len();
+        if len - suffix_start < window.len() {
+            return false;
+        }
+        // Range ends never shrink: a match at or past this start is in range.
+        if self.found.is_some_and(|s| s >= suffix_start) {
+            return true;
+        }
+        let hi = suffix_start
+            .saturating_add(ctx.budget)
+            .min(len - window.len());
+        let (ps, k) = (self.positions, self.k_rare);
+        while self.lo < ps.len() && (ps[self.lo] as usize) < suffix_start + k {
+            self.lo += 1;
+        }
+        self.hi = self.hi.max(self.lo);
+        while self.hi < ps.len() && ps[self.hi] as usize <= hi + k {
+            self.hi += 1;
+        }
+        if self.hi - self.lo > CONFIRM_PROBE_CAP {
+            return true;
+        }
+        // `found` is behind this range, so nothing in `lo..compared`
+        // matches: compare the rest right to left.
+        let floor = self.compared.max(self.lo);
+        self.compared = self.hi;
+        for at in (floor..self.hi).rev() {
+            *probes += 1;
+            let from = ps[at] as usize - k;
+            if window
+                .iter()
+                .zip(&self.syms[from..])
+                .all(|(&w, &s)| sym_compat(s, w))
+            {
+                self.found = Some(from);
+                return true;
+            }
+        }
+        false
+    }
+}
+
+/// One candidate of [`Recovery::candidate_stream`], with its segment's
+/// cursors advanced to it.
+struct Streamed<'r> {
+    cand: Candidate,
+    /// Its position in the filtered anchor list: the journal's rank.
+    rank: u32,
+    /// The summary prefilter proved it can never confirm.
+    dead: bool,
+    cs: &'r IndexedSegment,
+    /// Tier-1 symbols before the candidate's suffix start.
+    t1_before: usize,
+}
+
+/// The candidates for one hole, streamed in anchor-list order (segment,
+/// then anchor end, ascending) with per-segment cursors: the tier-1
+/// count before each suffix start and the summary prefilter's
+/// [`Sweep`]. Both searches consume it, so each candidate costs the
+/// same constant work whatever ranks it.
+struct CandidateStream<'r, 'c> {
+    indexed: &'r [IndexedSegment],
+    list: std::slice::Iter<'r, Candidate>,
+    /// The IS's own tail, never a usable CS for itself.
+    own_tail: Candidate,
+    /// The anchor, checked against candidates whose hashed key may
+    /// collide (anchors longer than 8 ops).
+    anchor: &'r [Sym],
+    prefilter: Option<&'c HoleCtx<'c>>,
+    rank: u32,
+    /// Segment the cursors below describe.
+    seg: usize,
+    t1: usize,
+    sweep: Option<Sweep<'r>>,
+    window_probes: u64,
+}
+
+impl<'r> Iterator for CandidateStream<'r, '_> {
+    type Item = Streamed<'r>;
+
+    fn next(&mut self) -> Option<Streamed<'r>> {
+        loop {
+            let cand @ (si, end) = *self.list.next()?;
+            let cs = &self.indexed[si];
+            let x = self.anchor.len();
+            if cand == self.own_tail
+                || (x > 8
+                    && !self
+                        .anchor
+                        .iter()
+                        .zip(&cs.syms[end + 1 - x..])
+                        .all(|(a, s)| a.op == s.op))
+            {
+                continue;
+            }
+            if si != self.seg {
+                self.seg = si;
+                self.t1 = cs.t1.partition_point(|&p| p as usize <= end);
+                self.sweep = self
+                    .prefilter
+                    .map(|ctx| Sweep::new(cs, ctx.post_window, end + 1));
+            }
+            while self.t1 < cs.t1.len() && cs.t1[self.t1] as usize <= end {
+                self.t1 += 1;
+            }
+            let dead = match (self.sweep.as_mut(), self.prefilter) {
+                (Some(sweep), Some(ctx)) => !sweep.alive(ctx, end + 1, &mut self.window_probes),
+                _ => false,
+            };
+            let rank = self.rank;
+            self.rank += 1;
+            return Some(Streamed {
+                cand,
+                rank,
+                dead,
+                cs,
+                t1_before: self.t1,
+            });
+        }
+    }
+}
 
 /// The timestamp span a CS splice interpolates across: the loss
 /// record's, or a zero-width span at the IS's last event for a hole
@@ -688,10 +870,10 @@ struct CsFill<C> {
 /// packs the opcodes into one `u64` — `OpKind` is `#[repr(u8)]` — and a
 /// probe is hash-one-word. Longer anchors (> 8 opcodes, never under
 /// default configs) hash the op slice directly instead of allocating a
-/// `Vec` spelling per lookup; hashed keys can collide, so
-/// [`Recovery::candidates`] verifies each candidate's window against
-/// the query ops for long anchors — a collision costs one wasted
-/// compare, never a wrong candidate.
+/// `Vec` spelling per lookup; hashed keys can collide, so the
+/// [`CandidateStream`] verifies each candidate's window against the
+/// query ops for long anchors — a collision costs one wasted compare,
+/// never a wrong candidate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct AnchorKey(u64);
 
@@ -702,7 +884,8 @@ impl AnchorKey {
 }
 
 /// Reusable buffers for [`Recovery::fill_hole_with`]: the fallback walk's
-/// BFS parent map and queue, reused across a thread's holes.
+/// BFS parent map and queue, reusable across holes, plus the work counts
+/// of the candidate searches run with it.
 #[derive(Debug, Default)]
 pub struct FillScratch {
     parent: FxHashMap<NodeId, NodeId>,
@@ -710,6 +893,7 @@ pub struct FillScratch {
     /// Corpus candidate buffer, reused across holes so the corpus
     /// lookup path stays allocation-free per hole.
     corpus_cands: Vec<CorpusCandidate>,
+    work: SearchWork,
 }
 
 impl FillScratch {
@@ -722,6 +906,11 @@ impl FillScratch {
     /// into a telemetry gauge after a thread's holes are filled.
     pub fn high_water(&self) -> usize {
         self.parent.capacity() + self.queue.capacity()
+    }
+
+    /// Work counts of every candidate search filled through this scratch.
+    pub(crate) fn work(&self) -> SearchWork {
+        self.work
     }
 }
 
@@ -880,9 +1069,10 @@ impl<'a> Recovery<'a> {
 
     /// Enables the summary prefilter. When present, candidates whose
     /// suffix **provably cannot contain this hole's confirm window**
-    /// (the `y` post-hole symbols, within budget) are identified before
-    /// the search runs — they can never be chosen as the fill. The check
-    /// is **exact** up to a probe cap (an undecided candidate is kept),
+    /// (the `y` post-hole symbols, within budget) are marked as the
+    /// search streams past them — they can never be chosen as the fill.
+    /// The check is **exact** up to a probe cap (an undecided candidate
+    /// is kept),
     /// and pruned candidates still flow through Algorithm 4's gates and
     /// ranking unchanged (see [`Recovery::search_abstraction`]), so
     /// reconstructed timelines are identical with the prefilter on or
@@ -905,91 +1095,49 @@ impl<'a> Recovery<'a> {
         self
     }
 
-    /// Candidate CS positions for an IS ending with `anchor` syms, each
-    /// tagged `true` if the summary prefilter proved it can never
-    /// confirm for the hole described by `ctx` (pruned counts land in
-    /// [`RecoveryStats::summary_pruned`], not in
-    /// [`RecoveryStats::candidates`]).
-    fn candidates(
-        &self,
-        is_seg: usize,
-        anchor: &[Sym],
-        ctx: Option<&HoleCtx<'_>>,
-    ) -> Vec<(Candidate, bool)> {
-        let key = AnchorKey::of(anchor);
-        let is_end = self.indexed[is_seg].syms.len() - 1;
-        self.anchor_index
-            .get(&key)
-            .map(|v| {
-                v.iter()
-                    .copied()
-                    // The IS's own tail is not a usable CS for itself.
-                    .filter(|&(si, end)| !(si == is_seg && end == is_end))
-                    // Hashed long-anchor keys can collide: verify the
-                    // candidate's op window (≤ 8 op keys are exact).
-                    .filter(|&(si, end)| {
-                        anchor.len() <= 8
-                            || anchor.iter().enumerate().all(|(k, a)| {
-                                self.indexed[si].syms[end + 1 - anchor.len() + k].op == a.op
-                            })
-                    })
-                    .map(|cand| {
-                        let dead = match ctx {
-                            Some(c) if self.summaries.is_some() => !self.can_confirm(cand, c),
-                            _ => false,
-                        };
-                        (cand, dead)
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
+    /// The IS `is_seg`'s anchor (its last `anchor_len` symbols, fewer
+    /// when it is shorter) and the anchor-index entries for it.
+    fn anchor_list(&self, is_seg: usize) -> (&[Sym], &[Candidate]) {
+        let is = &self.indexed[is_seg];
+        let x = self.cfg.anchor_len.min(is.syms.len());
+        let anchor = &is.syms[is.syms.len() - x..];
+        let list = if x == self.cfg.anchor_len {
+            self.anchor_index.get(&AnchorKey::of(anchor))
+        } else {
+            None
+        };
+        (anchor, list.map_or(&[], Vec::as_slice))
     }
 
-    /// `true` unless candidate `(si, end)`'s suffix provably contains no
-    /// window matching `ctx.post_window` within `ctx.budget` — the exact
-    /// success condition of [`confirm_scan`]. The scan walks the
-    /// occurrences of the window's rarest op kind (per-segment position
-    /// index), so a hopeless candidate is usually rejected in O(log n);
-    /// after [`CONFIRM_PROBE_CAP`] occurrence probes the candidate is
-    /// kept (undecided ⇒ alive keeps the prefilter sound).
-    fn can_confirm(&self, (si, end): Candidate, ctx: &HoleCtx<'_>) -> bool {
-        let cs = &self.indexed[si];
-        let suffix_start = end + 1;
-        let y = ctx.post_window.len();
-        let len = cs.syms.len();
-        let available = len - suffix_start;
-        if available < y {
-            return false;
+    /// Anchor-index entries for the IS `is_seg`'s anchor: about as many
+    /// candidates as the search for the hole after it streams.
+    pub(crate) fn anchor_hits(&self, is_seg: usize) -> usize {
+        self.anchor_list(is_seg).1.len()
+    }
+
+    /// The candidate CS positions for the IS `is_seg`: every anchor-index
+    /// entry for its anchor, tagged by the summary prefilter when `ctx`
+    /// is given and summaries are attached.
+    fn candidate_stream<'r, 'c>(
+        &'r self,
+        is_seg: usize,
+        ctx: Option<&'c HoleCtx<'c>>,
+    ) -> CandidateStream<'r, 'c> {
+        let is = &self.indexed[is_seg];
+        let (anchor, list) = self.anchor_list(is_seg);
+        CandidateStream {
+            indexed: &self.indexed,
+            list: list.iter(),
+            // An empty IS has no tail, and no candidates either.
+            own_tail: (is_seg, is.syms.len().wrapping_sub(1)),
+            anchor,
+            prefilter: ctx.filter(|_| self.summaries.is_some()),
+            rank: 0,
+            seg: usize::MAX,
+            t1: 0,
+            sweep: None,
+            window_probes: 0,
         }
-        // Highest window start the confirm scan would try: `d` is capped
-        // by the budget and the window must fit inside the segment.
-        let hi = (suffix_start + ctx.budget.min(available)).min(len - y);
-        let k_rare = (0..y)
-            .min_by_key(|&k| cs.op_pos[ctx.post_window[k].op.index()].len())
-            .unwrap_or(0);
-        let positions = &cs.op_pos[ctx.post_window[k_rare].op.index()];
-        let lo = suffix_start + k_rare;
-        let mut probes = 0usize;
-        for &p in &positions[positions.partition_point(|&q| (q as usize) < lo)..] {
-            let p = p as usize;
-            if p > hi + k_rare {
-                break;
-            }
-            probes += 1;
-            if probes > CONFIRM_PROBE_CAP {
-                return true;
-            }
-            let from = p - k_rare;
-            if ctx
-                .post_window
-                .iter()
-                .enumerate()
-                .all(|(k, &s)| sym_compat(cs.syms[from + k], s))
-            {
-                return true;
-            }
-        }
-        false
     }
 
     /// **Algorithm 3**: naive CS search — full concrete comparison per
@@ -999,50 +1147,53 @@ impl<'a> Recovery<'a> {
         is_seg: usize,
         stats: &mut RecoveryStats,
     ) -> Vec<(Candidate, usize)> {
-        self.search_naive_journaled(is_seg, stats, None, &mut CandidateJournal::new(None, 0))
+        let mut journal = CandidateJournal::new(None, 0);
+        self.search_naive_journaled(
+            is_seg,
+            stats,
+            None,
+            &mut journal,
+            &mut SearchWork::default(),
+        )
     }
 
+    /// Prefilter-pruned candidates keep their score (the ranking must be
+    /// identical with the prefilter off) but are not journaled
+    /// individually.
     fn search_naive_journaled(
         &self,
         is_seg: usize,
         stats: &mut RecoveryStats,
         ctx: Option<&HoleCtx<'_>>,
         journal: &mut CandidateJournal<'_, '_>,
+        work: &mut SearchWork,
     ) -> Vec<(Candidate, usize)> {
         let is = &self.indexed[is_seg];
-        if is.syms.len() < self.cfg.anchor_len {
-            return Vec::new();
-        }
-        let anchor = &is.syms[is.syms.len() - self.cfg.anchor_len..];
-        let mut scored: Vec<((Candidate, bool), usize)> = self
-            .candidates(is_seg, anchor, ctx)
-            .into_iter()
-            .map(|(cand, dead)| {
-                let (si, end) = cand;
-                let m3 = is.tier_suffix(
-                    is.syms.len(),
-                    &self.indexed[si],
-                    end + 1,
-                    Tier::Concrete,
-                    usize::MAX,
-                );
-                ((cand, dead), m3)
-            })
-            .collect();
-        // Prefilter-pruned candidates keep their score (the ranking must
-        // be identical with the prefilter off) but are not journaled
-        // individually.
-        for (rank, &((cand, dead), score)) in scored.iter().enumerate() {
-            if dead {
+        let mut best = Vec::with_capacity(self.cfg.top_n + 1);
+        let mut stream = self.candidate_stream(is_seg, ctx);
+        for c in &mut stream {
+            let m3 = is.concrete_suffix(c.cs, c.cand.1 + 1);
+            if c.dead {
                 stats.summary_pruned += 1;
             } else {
                 stats.candidates += 1;
-                journal.consider(rank as u32, cand, CandidateOutcome::Scored, score);
+                journal.consider(c.rank, c.cand, CandidateOutcome::Scored, m3);
             }
+            self.keep_top(&mut best, c.cand, m3);
         }
-        scored.sort_by_key(|&(_, score)| std::cmp::Reverse(score));
-        scored.truncate(self.cfg.top_n);
-        scored.into_iter().map(|((c, _), s)| (c, s)).collect()
+        work.window_probes += stream.window_probes;
+        best
+    }
+
+    /// Inserts a scored candidate into the top-N list, after every kept
+    /// candidate scoring at least as much: the first N of a stable sort
+    /// by descending score over everything offered so far.
+    fn keep_top(&self, best: &mut Vec<(Candidate, usize)>, cand: Candidate, score: usize) {
+        let at = best.partition_point(|&(_, s)| s >= score);
+        if at < self.cfg.top_n {
+            best.insert(at, (cand, score));
+            best.truncate(self.cfg.top_n);
+        }
     }
 
     /// **Algorithm 4**: abstraction-guided CS search with tier-1/tier-2
@@ -1054,9 +1205,22 @@ impl<'a> Recovery<'a> {
         is_seg: usize,
         stats: &mut RecoveryStats,
     ) -> Vec<(Candidate, usize)> {
-        self.search_abstraction_journaled(is_seg, stats, None, &mut CandidateJournal::new(None, 0))
+        let mut journal = CandidateJournal::new(None, 0);
+        self.search_abstraction_journaled(
+            is_seg,
+            stats,
+            None,
+            &mut journal,
+            &mut SearchWork::default(),
+        )
     }
 
+    /// One pass over [`Recovery::candidate_stream`]. The IS's tier counts
+    /// are its whole tier streams, so a candidate's tier-1 measurement
+    /// is one backward compare of two contiguous streams from its
+    /// cursor; tier 2 and the concrete tier run only for the candidates
+    /// tier 1 keeps.
+    ///
     /// Prefilter-pruned candidates are processed through **exactly** the
     /// same gates, maxima updates and ranking as live ones — the ranked
     /// list (and therefore the chosen fill) is identical with the
@@ -1070,57 +1234,69 @@ impl<'a> Recovery<'a> {
         stats: &mut RecoveryStats,
         ctx: Option<&HoleCtx<'_>>,
         journal: &mut CandidateJournal<'_, '_>,
+        work: &mut SearchWork,
     ) -> Vec<(Candidate, usize)> {
         let is = &self.indexed[is_seg];
-        if is.syms.len() < self.cfg.anchor_len {
-            return Vec::new();
-        }
-        let anchor = &is.syms[is.syms.len() - self.cfg.anchor_len..];
-        let cands = self.candidates(is_seg, anchor, ctx);
-
-        let mut best: Vec<(Candidate, usize)> = Vec::new();
+        let mut best: Vec<(Candidate, usize)> = Vec::with_capacity(self.cfg.top_n + 1);
         // Running maxima ⟨m1, m2, m3⟩ of Algorithm 4; pruning compares
         // against the weakest kept candidate when the list is full.
         let (mut m1, mut m2, mut m3) = (0usize, 0usize, 0usize);
-        for (rank, (cand, dead)) in cands.into_iter().enumerate() {
-            let (si, end) = cand;
-            let cs = &self.indexed[si];
+        let mut stream = self.candidate_stream(is_seg, ctx);
+        for c in &mut stream {
+            let Streamed {
+                cand,
+                rank,
+                dead,
+                cs,
+                t1_before,
+            } = c;
+            let (_, end) = cand;
             if dead {
                 stats.summary_pruned += 1;
             } else {
                 stats.candidates += 1;
             }
-            let full = self.cfg.top_n > best.len();
+            let full = self.cfg.top_n <= best.len();
             // Tier 1: cheap test first.
-            let ml1 = is.tier_suffix(is.syms.len(), cs, end + 1, Tier::CallStructure, m1 + 64);
-            if !full && ml1 < m1 {
+            let ml1 = common_suffix(
+                &is.t1_syms,
+                &cs.t1_syms[..t1_before],
+                m1 + 64,
+                &mut work.tier_symbols,
+            );
+            if full && ml1 < m1 {
                 if !dead {
                     stats.pruned_tier1 += 1;
-                    journal.consider(rank as u32, cand, CandidateOutcome::PrunedTier1, ml1);
+                    journal.consider(rank, cand, CandidateOutcome::PrunedTier1, ml1);
                 }
                 continue;
             }
-            let ml2 = is.tier_suffix(is.syms.len(), cs, end + 1, Tier::Control, m2 + 64);
-            if !full && ml2 < m2 {
+            let t2_before = cs.t2.partition_point(|&p| p as usize <= end);
+            let ml2 = common_suffix(
+                &is.t2_syms,
+                &cs.t2_syms[..t2_before],
+                m2 + 64,
+                &mut work.tier_symbols,
+            );
+            if full && ml2 < m2 {
                 if !dead {
                     stats.pruned_tier2 += 1;
-                    journal.consider(rank as u32, cand, CandidateOutcome::PrunedTier2, ml2);
+                    journal.consider(rank, cand, CandidateOutcome::PrunedTier2, ml2);
                 }
                 continue;
             }
-            let ml3 = is.tier_suffix(is.syms.len(), cs, end + 1, Tier::Concrete, usize::MAX);
+            let ml3 = is.concrete_suffix(cs, end + 1);
             if ml3 >= m3 {
                 m3 = ml3;
                 m1 = ml1;
                 m2 = ml2;
             }
             if !dead {
-                journal.consider(rank as u32, cand, CandidateOutcome::Scored, ml3);
+                journal.consider(rank, cand, CandidateOutcome::Scored, ml3);
             }
-            best.push((cand, ml3));
-            best.sort_by_key(|&(_, score)| std::cmp::Reverse(score));
-            best.truncate(self.cfg.top_n);
+            self.keep_top(&mut best, cand, ml3);
         }
+        work.window_probes += stream.window_probes;
         best
     }
 
@@ -1193,10 +1369,11 @@ impl<'a> Recovery<'a> {
         let prefilter = (!ctx.post_window.is_empty()).then_some(&ctx);
         let mut journal =
             CandidateJournal::new(recorder.is_enabled().then_some(&mut *recorder), hole);
+        let work = &mut scratch.work;
         let mut ranked = if self.cfg.use_abstraction {
-            self.search_abstraction_journaled(is_seg, stats, prefilter, &mut journal)
+            self.search_abstraction_journaled(is_seg, stats, prefilter, &mut journal, work)
         } else {
-            self.search_naive_journaled(is_seg, stats, prefilter, &mut journal)
+            self.search_naive_journaled(is_seg, stats, prefilter, &mut journal, work)
         };
         journal.finish();
         if self.summaries.is_some() {
@@ -1529,6 +1706,9 @@ impl<'a> Recovery<'a> {
 }
 
 #[cfg(test)]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use jportal_cfg::BranchDir;
@@ -1555,7 +1735,7 @@ mod tests {
         }
     }
 
-    fn tiny_program() -> (Program, Icfg) {
+    pub(super) fn tiny_program() -> (Program, Icfg) {
         use jportal_bytecode::builder::ProgramBuilder;
         use jportal_bytecode::Instruction as I;
         let mut pb = ProgramBuilder::new();
@@ -1612,7 +1792,7 @@ mod tests {
         assert!(m2 >= 1);
     }
 
-    fn splitmix(state: &mut u64) -> u64 {
+    pub(super) fn splitmix(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = *state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -1620,14 +1800,15 @@ mod tests {
         z ^ (z >> 31)
     }
 
-    /// The summary prefilter's `can_confirm` must agree exactly with the
+    /// The summary prefilter's [`Sweep`] must agree exactly with the
     /// confirm scan both sources fill through (scan
     /// `d ∈ 0..=budget.min(available)` for a window match): a pruned
     /// candidate that the scan would actually confirm changes the chosen
-    /// fill, breaking the on/off report equivalence. Segments stay below
-    /// [`CONFIRM_PROBE_CAP`] occurrences so the cap never forces a
-    /// conservative "alive" answer and the check must be *exact*, not
-    /// just sound.
+    /// fill, breaking the on/off report equivalence. Each query sweeps a
+    /// random ascending subset of suffix starts, as the candidate stream
+    /// does. Segments stay below [`CONFIRM_PROBE_CAP`] occurrences so the
+    /// cap never forces a conservative "alive" answer and the check must
+    /// be *exact*, not just sound.
     #[test]
     fn confirm_prefilter_matches_literal_confirm_scan() {
         use OpKind as O;
@@ -1654,8 +1835,8 @@ mod tests {
             for seg in &mut rec.indexed {
                 seg.build_op_index();
             }
+            let cs = &rec.indexed[0];
             for _ in 0..20 {
-                let end = (splitmix(&mut s) % len as u64) as usize;
                 let y = 1 + (splitmix(&mut s) % 5) as usize;
                 let window: Vec<Sym> = (0..y)
                     .map(|_| sym(pool[(splitmix(&mut s) % pool.len() as u64) as usize]))
@@ -1667,22 +1848,30 @@ mod tests {
                     span: (0, 0),
                     estimate: 0.0,
                 };
-                let got = rec.can_confirm((0, end), &ctx);
-                let cs = RunSeg {
-                    syms: &rec.indexed[0].syms,
-                    view: &segs[0],
-                    icfg: &icfg,
+                let ends: Vec<usize> = (0..len).filter(|_| splitmix(&mut s) & 1 == 0).collect();
+                let Some(&first) = ends.first() else {
+                    continue;
                 };
-                let expect =
-                    confirm_scan(cs, end + 1, &ctx, &mut RecoveryStats::default()).is_some();
-                assert_eq!(
-                    got, expect,
-                    "ops={ops:?} end={end} window={window:?} budget={budget}"
-                );
-                if expect {
-                    alive += 1;
-                } else {
-                    pruned += 1;
+                let mut sweep = Sweep::new(cs, &window, first + 1);
+                for end in ends {
+                    let got = sweep.alive(&ctx, end + 1, &mut 0);
+                    let run_seg = RunSeg {
+                        syms: &cs.syms,
+                        view: &segs[0],
+                        icfg: &icfg,
+                    };
+                    let expect =
+                        confirm_scan(run_seg, end + 1, &ctx, &mut RecoveryStats::default())
+                            .is_some();
+                    assert_eq!(
+                        got, expect,
+                        "ops={ops:?} end={end} window={window:?} budget={budget}"
+                    );
+                    if expect {
+                        alive += 1;
+                    } else {
+                        pruned += 1;
+                    }
                 }
             }
         }

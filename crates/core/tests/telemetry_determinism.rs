@@ -11,6 +11,7 @@ use jportal_bytecode::{CmpKind, Instruction as I, Program};
 use jportal_core::{JPortal, JPortalConfig, JPortalReport};
 use jportal_jvm::runtime::{Jvm, JvmConfig, RunResult, ThreadSpec};
 use jportal_obs::{MetricClass, TelemetryReport};
+use jportal_workloads::workload_by_name;
 
 /// A branchy two-method loop, long enough that a small PT buffer with a
 /// slow exporter drops data on every thread (so recovery, hole spans and
@@ -168,6 +169,45 @@ fn counters_and_span_tree_match_across_parallelism() {
     assert!(span_structure(&tel_seq)
         .iter()
         .any(|s| s.starts_with("decode/analyze/decode_segment")));
+}
+
+/// One lossy thread leaves a second worker idle at the thread level, so
+/// its holes fan out instead (fop@4 has enough candidates per thread for
+/// the fan-out). Spans opened on the fan-out's workers must still hang
+/// off `assemble_thread`, and the exact counters — including the
+/// search's work counts — must equal the sequential run's.
+#[test]
+fn single_thread_hole_fan_out_matches_sequential_telemetry() {
+    let w = workload_by_name("fop", 4);
+    let r = Jvm::new(JvmConfig {
+        cores: 1,
+        pt_buffer_capacity: 1000,
+        drain_bytes_per_kilocycle: 50,
+        ..JvmConfig::default()
+    })
+    .run(&w.program);
+    let (report_seq, tel_seq) = analyze_with(&w.program, &r, Some(1));
+    let (report_par, tel_par) = analyze_with(&w.program, &r, Some(2));
+    assert_eq!(report_seq.threads.len(), 1);
+    let holes = report_seq.threads[0].recovery.holes;
+    assert!(holes > 1, "the fan-out needs several holes, got {holes}");
+    assert_eq!(report_seq, report_par, "report determinism contract");
+
+    let exact = exact_metrics(&tel_seq);
+    assert_eq!(exact, exact_metrics(&tel_par), "exact counters and gauges");
+    for series in [
+        "counter.core.recover.window_probes",
+        "counter.core.recover.tier_symbols",
+    ] {
+        assert!(exact.iter().any(|(n, v)| n == series && *v > 0), "{series}");
+    }
+    let spans = span_structure(&tel_seq);
+    assert_eq!(spans, span_structure(&tel_par), "span tree");
+    let fills = spans
+        .iter()
+        .filter(|s| s.starts_with("recover/assemble_thread/fill_hole"))
+        .count();
+    assert_eq!(fills, holes, "one fill span per hole, under its thread");
 }
 
 #[test]
