@@ -43,8 +43,7 @@ pub mod summary;
 pub use dom::{Dominators, LoopNest, NaturalLoop, PostDominators};
 pub use interproc::SummaryTable;
 pub use lint::{
-    lint_steps, lint_steps_journaled, lint_steps_summarized, LintDiagnostic, LintKind, LintStep,
-    LintSummary,
+    lint_steps_journaled, lint_steps_summarized, LintDiagnostic, LintKind, LintStep, LintSummary,
 };
 pub use rta::Rta;
 pub use summary::{op_may_exit_method, required_window_ops, MethodSummary, OpSet};

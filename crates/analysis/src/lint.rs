@@ -70,6 +70,7 @@ use crate::interproc::SummaryTable;
 use jportal_bytecode::{Bci, MethodId, OpKind, Program};
 use jportal_cfg::{BranchDir, EdgeKind, Icfg, NodeId};
 use jportal_obs::MetricClass;
+use std::borrow::Borrow;
 use std::fmt;
 
 /// One event of the sequence under lint.
@@ -287,23 +288,28 @@ struct Frame {
 /// counters on the handle's registry, and every diagnostic as a
 /// [`jportal_obs::JournalEvent::LintBreak`] through `recorder`. All of
 /// it is inert when `obs` is disabled; the diagnostics are identical
-/// either way.
+/// either way. `count` is the number of steps `steps` yields, known
+/// to the caller before the replay starts (the span carries it).
 pub fn lint_steps_journaled(
     program: &Program,
     icfg: &Icfg,
-    steps: &[LintStep],
+    steps: impl IntoIterator<Item: Borrow<LintStep>>,
+    count: usize,
     summaries: Option<&SummaryTable>,
     obs: &jportal_obs::Obs,
     recorder: &mut jportal_obs::JournalRecorder<'_>,
 ) -> Vec<LintDiagnostic> {
     let _span = obs
         .span("lint", "lint_steps")
-        .arg("steps", steps.len())
+        .arg("steps", count)
         .record_sketch(&obs.registry().sketch("analysis.lint.wall_us"));
+    let mut replayed = 0;
+    let steps = steps.into_iter().inspect(|_| replayed += 1);
     let diagnostics = lint_steps_summarized(program, icfg, steps, summaries);
+    debug_assert_eq!(replayed, count, "the step count must match the steps");
     let reg = obs.registry();
     reg.counter("analysis.lint.steps", MetricClass::Exact)
-        .add(steps.len() as u64);
+        .add(count as u64);
     reg.counter("analysis.lint.diagnostics", MetricClass::Exact)
         .add(diagnostics.len() as u64);
     if recorder.is_enabled() {
@@ -318,14 +324,8 @@ pub fn lint_steps_journaled(
     diagnostics
 }
 
-/// Replays `steps` against the ICFG and reports every violation, in
-/// legacy (summary-free) mode. Equivalent to
-/// [`lint_steps_summarized`] with `None`.
-pub fn lint_steps(program: &Program, icfg: &Icfg, steps: &[LintStep]) -> Vec<LintDiagnostic> {
-    lint_steps_summarized(program, icfg, steps, None)
-}
-
-/// Replays `steps` against the ICFG and reports every violation.
+/// Replays `steps` once, in order, against the ICFG and reports every
+/// violation.
 ///
 /// With `summaries` present the call-stack abstraction becomes
 /// interprocedural (see the module docs): the stack survives seams,
@@ -337,7 +337,7 @@ pub fn lint_steps(program: &Program, icfg: &Icfg, steps: &[LintStep]) -> Vec<Lin
 pub fn lint_steps_summarized(
     program: &Program,
     icfg: &Icfg,
-    steps: &[LintStep],
+    steps: impl IntoIterator<Item: Borrow<LintStep>>,
     summaries: Option<&SummaryTable>,
 ) -> Vec<LintDiagnostic> {
     let mut out = Vec::new();
@@ -347,7 +347,8 @@ pub fn lint_steps_summarized(
     // Frames pushed by observed calls. Empty = unknown prefix.
     let mut stack: Vec<Frame> = Vec::new();
 
-    for (i, step) in steps.iter().enumerate() {
+    for (i, step) in steps.into_iter().enumerate() {
+        let step = step.borrow();
         if step.boundary {
             prev = None;
             match summaries {
@@ -724,7 +725,7 @@ mod tests {
             step(&p, &icfg, main, 5).with_dir(BranchDir::Taken),
             step(&p, &icfg, main, 7),
         ];
-        let diags = lint_steps(&p, &icfg, &steps);
+        let diags = lint_steps_summarized(&p, &icfg, &steps, None);
         assert!(diags.is_empty(), "{diags:?}");
         assert!(LintSummary::of(&diags).is_clean());
     }
@@ -735,7 +736,7 @@ mod tests {
         let icfg = Icfg::build(&p);
         // pop(1) cannot jump to iconst(4).
         let steps = vec![step(&p, &icfg, main, 1), step(&p, &icfg, main, 4)];
-        let diags = lint_steps(&p, &icfg, &steps);
+        let diags = lint_steps_summarized(&p, &icfg, &steps, None);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].kind, LintKind::MissingEdge);
         assert_eq!(diags[0].index, 1);
@@ -750,7 +751,7 @@ mod tests {
             step(&p, &icfg, main, 4).seam(),
             step(&p, &icfg, main, 5),
         ];
-        assert!(lint_steps(&p, &icfg, &steps).is_empty());
+        assert!(lint_steps_summarized(&p, &icfg, &steps, None).is_empty());
     }
 
     #[test]
@@ -759,7 +760,7 @@ mod tests {
         let icfg = Icfg::build(&p);
         let mut s = step(&p, &icfg, main, 4);
         s.op = OpKind::Nop; // recorded op disagrees with iconst at bci 4
-        let diags = lint_steps(&p, &icfg, &[s]);
+        let diags = lint_steps_summarized(&p, &icfg, [s], None);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].kind, LintKind::OpMismatch);
     }
@@ -774,7 +775,7 @@ mod tests {
             step(&p, &icfg, main, 5).with_dir(BranchDir::NotTaken),
             step(&p, &icfg, main, 7),
         ];
-        let diags = lint_steps(&p, &icfg, &steps);
+        let diags = lint_steps_summarized(&p, &icfg, &steps, None);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].kind, LintKind::BranchContradiction);
         // The full message, edge list included, is part of the report.
@@ -798,7 +799,7 @@ mod tests {
             step(&p, &icfg, callee, 1),
             step(&p, &icfg, main, 3),
         ];
-        assert!(lint_steps(&p, &icfg, &steps).is_empty());
+        assert!(lint_steps_summarized(&p, &icfg, &steps, None).is_empty());
     }
 
     /// main: invoke f; pop; invoke g; pop; return — f and g both
@@ -842,7 +843,7 @@ mod tests {
             step(&p, &icfg, g, 1),
             step(&p, &icfg, main, 3),
         ];
-        let diags = lint_steps(&p, &icfg, &steps);
+        let diags = lint_steps_summarized(&p, &icfg, &steps, None);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].kind, LintKind::UnmatchedReturn);
         assert_eq!(diags[0].index, 4);
@@ -859,7 +860,7 @@ mod tests {
             step(&p, &icfg, callee, 1),
             step(&p, &icfg, main, 1),
         ];
-        assert!(lint_steps(&p, &icfg, &steps).is_empty());
+        assert!(lint_steps_summarized(&p, &icfg, &steps, None).is_empty());
     }
 
     #[test]
@@ -880,7 +881,7 @@ mod tests {
             step(&p, &icfg, callee, 1),
             step(&p, &icfg, main, 1),
         ];
-        assert!(lint_steps(&p, &icfg, &steps).is_empty());
+        assert!(lint_steps_summarized(&p, &icfg, &steps, None).is_empty());
     }
 
     /// main: invoke f; pop; invoke g; pop; return — f (`iconst;
@@ -952,7 +953,7 @@ mod tests {
             step(&p, &icfg, main, 2),        // return edge: g → main cont
         ];
         assert!(
-            lint_steps(&p, &icfg, &steps).is_empty(),
+            lint_steps_summarized(&p, &icfg, &steps, None).is_empty(),
             "legacy mode swallows the cross-seam fault"
         );
         let diags = lint_steps_summarized(&p, &icfg, &steps, Some(&t));
@@ -1101,7 +1102,7 @@ mod tests {
             step(&p, &icfg, main, 6),
         ];
         assert!(
-            lint_steps(&p, &icfg, &steps).is_empty(),
+            lint_steps_summarized(&p, &icfg, &steps, None).is_empty(),
             "legacy mode cannot see the contradiction"
         );
         let diags = lint_steps_summarized(&p, &icfg, &steps, Some(&t));
@@ -1143,7 +1144,7 @@ mod tests {
         let (p, main, _) = program();
         let icfg = Icfg::build(&p);
         let steps = vec![step(&p, &icfg, main, 1), step(&p, &icfg, main, 4)];
-        let diags = lint_steps(&p, &icfg, &steps);
+        let diags = lint_steps_summarized(&p, &icfg, &steps, None);
         let s = LintSummary::of(&diags);
         assert_eq!(s.missing_edge, 1);
         assert_eq!(s.total(), 1);

@@ -111,11 +111,6 @@ impl<'p> Rta<'p> {
         self.reachable[method.index()]
     }
 
-    /// Number of reachable methods.
-    pub fn reachable_count(&self) -> usize {
-        self.reachable.iter().filter(|&&r| r).count()
-    }
-
     /// The RTA-refined target set of a virtual dispatch: the overrides
     /// selected by instantiated subclasses of `declared_in`. Always a
     /// subset of [`Program::virtual_targets`].

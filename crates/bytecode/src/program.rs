@@ -118,23 +118,6 @@ impl Method {
         &self.code[bci.index()]
     }
 
-    /// The first handler covering `bci` that accepts `thrown`, given the
-    /// program for subclass tests.
-    pub fn find_handler(
-        &self,
-        program: &Program,
-        bci: Bci,
-        thrown: ClassId,
-    ) -> Option<&ExceptionHandler> {
-        self.handlers.iter().find(|h| {
-            h.covers(bci)
-                && match h.catch_class {
-                    None => true,
-                    Some(c) => program.is_subclass_of(thrown, c),
-                }
-        })
-    }
-
     /// Fully qualified `Class.name` string for diagnostics.
     pub fn qualified_name(&self, program: &Program) -> String {
         format!("{}.{}", program.class(self.class).name, self.name)

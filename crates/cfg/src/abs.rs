@@ -384,10 +384,10 @@ impl<'a> AbstractNfa<'a> {
     /// This is Definition 4.3's DFA made real: the current state-set is an
     /// interned id and each symbol is one [`AbstractNfa::transition`]
     /// probe, with the memo table persistent across segments and shared
-    /// across workers. Equivalent to the per-call subset simulation kept
-    /// as [`AbstractNfa::abstract_accepts_from_reference`] — acceptance
-    /// only depends on whether the reachable set goes empty, which
-    /// interning preserves exactly.
+    /// across workers. Equivalent to the seed per-call subset simulation
+    /// kept as the test oracle in `abs/oracle.rs` — acceptance only
+    /// depends on whether the reachable set goes empty, which interning
+    /// preserves exactly.
     pub fn abstract_accepts_from(&self, start: NodeId, first: Sym, abs: &[Sym]) -> bool {
         if abs.is_empty() {
             return true;
@@ -417,58 +417,6 @@ impl<'a> AbstractNfa<'a> {
                 return false;
             }
             prev_dir = sym.dir;
-        }
-        true
-    }
-
-    /// The seed per-call subset simulation, kept verbatim as the oracle
-    /// for the matcher-equivalence property tests. Recomputes every step
-    /// from scratch; not used on any hot path.
-    pub fn abstract_accepts_from_reference(&self, start: NodeId, first: Sym, abs: &[Sym]) -> bool {
-        // Establish the abstract start configuration.
-        let (mut states, mut next_idx, mut prev_dir): (Vec<NodeId>, usize, BranchDir) =
-            if first.is_control() {
-                // `start` consumed abs[0] (== first).
-                (vec![start], 1, first.dir)
-            } else {
-                // ε-advance to the first control nodes; they must match abs[0].
-                (
-                    self.control_closure(start)
-                        .iter()
-                        .copied()
-                        .filter(|&n| {
-                            abs.first()
-                                .map(|s| s.matches_instruction(self.nfa.insn(n)))
-                                .unwrap_or(true)
-                        })
-                        .collect(),
-                    1,
-                    abs.first().map(|s| s.dir).unwrap_or(BranchDir::Unknown),
-                )
-            };
-        if abs.is_empty() {
-            return true;
-        }
-        if states.is_empty() {
-            return false;
-        }
-        while next_idx < abs.len() {
-            let sym = abs[next_idx];
-            let mut next: Vec<NodeId> = Vec::new();
-            let mut seen = std::collections::HashSet::new();
-            for &u in &states {
-                for &v in self.control_successors(u, prev_dir).iter() {
-                    if sym.matches_instruction(self.nfa.insn(v)) && seen.insert(v) {
-                        next.push(v);
-                    }
-                }
-            }
-            if next.is_empty() {
-                return false;
-            }
-            states = next;
-            prev_dir = sym.dir;
-            next_idx += 1;
         }
         true
     }
@@ -519,6 +467,9 @@ impl<'a> AbstractNfa<'a> {
         (survivors, candidates.len())
     }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

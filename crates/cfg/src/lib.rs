@@ -30,3 +30,8 @@ pub use icfg::{CallTargetResolver, Edge, EdgeKind, Icfg, NodeId};
 pub use nfa::{MatchOutcome, MatchScratch, Nfa};
 pub use sym::{BranchDir, Sym};
 pub use tier::Tier;
+
+// Lets the test-support files shared with the integration suites name
+// this crate as `jportal_cfg` when the unit tests include them.
+#[cfg(test)]
+extern crate self as jportal_cfg;

@@ -100,12 +100,6 @@ impl MatchScratch {
         self.arena.capacity()
     }
 
-    /// Size of the dense `seen` stamp array (== the largest node count
-    /// this scratch has matched against).
-    pub fn seen_size(&self) -> usize {
-        self.seen.len()
-    }
-
     /// Widest frontier layer (simultaneous NFA states for one symbol)
     /// since the last [`MatchScratch::reset_frontier_peak`]. A width of 1
     /// means the match was unambiguous throughout; wider layers measure

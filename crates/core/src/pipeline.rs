@@ -8,7 +8,7 @@
 //! control-flow trace with per-entry provenance.
 
 use jportal_analysis::{
-    lint_steps_journaled, AnalysisIndex, LintDiagnostic, LintStep, LintSummary, Rta, SummaryTable,
+    lint_steps_journaled, AnalysisIndex, LintDiagnostic, LintSummary, Rta, SummaryTable,
 };
 use jportal_bytecode::Program;
 use jportal_cfg::abs::{AbstractNfa, DfaCacheStats};
@@ -27,8 +27,7 @@ use crate::decode::{decode_segment_with, WalkIndex};
 use crate::quality::{FillQuality, QualityReport, ThreadQuality};
 use crate::reconstruct::{project_segment_with, ProjectionConfig, ProjectionStats};
 use crate::recover::{
-    event_loc, Fill, FillScratch, HarvestSeg, Recovery, RecoveryConfig, RecoveryStats, SearchWork,
-    SegmentView,
+    Fill, FillScratch, HarvestSeg, Recovery, RecoveryConfig, RecoveryStats, SearchWork, SegmentView,
 };
 pub use crate::recover::{TraceEntry, TraceOrigin};
 use crate::threads::{segregate_with_stats, ThreadPiece};
@@ -352,11 +351,6 @@ impl<'p> JPortal<'p> {
         self
     }
 
-    /// The attached corpus store, if any.
-    pub fn corpus_store(&self) -> Option<&std::sync::Arc<Corpus>> {
-        self.corpus.as_ref()
-    }
-
     /// The ICFG (exposed for clients that want to inspect projections).
     pub fn icfg(&self) -> &Icfg {
         &self.icfg
@@ -426,13 +420,13 @@ impl<'p> JPortal<'p> {
     /// two levels: decode+projection runs over every `(thread, piece)`
     /// pair of the whole trace at once (one global work list, so a core
     /// never idles because "its" thread finished early), then per-thread
-    /// assembly — compaction, recovery, entry emission — fans out across
-    /// threads. Recovery itself stays sequential over a thread's holes
-    /// and over each hole's candidates; the holes are independent (a
-    /// fill reads only the compacted segments, never an earlier fill),
-    /// this is just the current schedule. Results are reassembled
-    /// in deterministic order at every join, so the report is identical
-    /// for every worker count.
+    /// assembly — compaction, recovery, lint, entry emission — fans out
+    /// across threads. The holes of one thread are independent (a fill
+    /// reads only the compacted segments, never an earlier fill), so
+    /// workers left over when there are fewer threads fill a busy
+    /// thread's holes in parallel; each hole's candidates are searched
+    /// sequentially. Results are reassembled in deterministic order at
+    /// every join, so the report is identical for every worker count.
     pub fn analyze(&self, traces: &CollectedTraces, archive: &MetadataArchive) -> JPortalReport {
         self.analyze_impl(traces, archive, None)
     }
@@ -709,6 +703,10 @@ impl<'p> JPortal<'p> {
     /// recovery engine, each with its own scratch, stats and journal
     /// recorder, and everything is merged and emitted in hole order.
     ///
+    /// The timeline is held once: lint and harvest read the segments
+    /// and fills in place, and only then are the entries emitted,
+    /// consuming the segments.
+    ///
     /// The recovery engine, and with it the anchor and op-position
     /// indices, is built only when the thread has a hole to fill: a
     /// thread with no holes, or any thread with recovery disabled, never
@@ -796,80 +794,53 @@ impl<'p> JPortal<'p> {
                 )
             }
         };
+        // Pair each fill with the segment after its hole, merging the
+        // per-hole stats in hole order.
         let mut recovery_stats = RecoveryStats::default();
         let mut work = SearchWork::default();
         let mut scratch_hw = 0;
-        for (_, stats, hole_work, hw) in &filled {
-            recovery_stats.merge(stats);
-            work.merge(hole_work);
-            scratch_hw = scratch_hw.max(*hw);
+        let mut fills: Vec<FillQuality> = Vec::with_capacity(filled.len());
+        let mut before: Vec<Option<Fill>> = vec![None; compacted.len()];
+        for (&(i, _), (fill, stats, hole_work, hw)) in lossy.iter().zip(filled) {
+            recovery_stats.merge(&stats);
+            work.merge(&hole_work);
+            scratch_hw = scratch_hw.max(hw);
+            fills.push(FillQuality {
+                hole: fills.len() + 1,
+                origin: fill.entries.first().map(|e| e.origin),
+                confidence: fill.confidence,
+                entries: fill.entries.len(),
+            });
+            before[i] = Some(fill);
         }
         // Scheduling-dependent: the gauge is the max over whichever
         // threads each worker assembled.
         obs.registry()
             .gauge("core.recover.fill_scratch_hw", MetricClass::Scheduling)
             .set_max(scratch_hw as u64);
+        // Dropped before the timeline is built: the engine holds an
+        // indexed copy of every segment.
+        let index = recovery.map(|r| (r.anchor_inserts(), work));
 
-        // Emit the timeline: each fill right before the segment after
-        // its hole.
-        let capacity = compacted.iter().map(|s| s.events.len()).sum::<usize>()
-            + filled.iter().map(|(f, ..)| f.entries.len()).sum::<usize>();
-        let mut entries: Vec<TraceEntry> = Vec::with_capacity(capacity);
-        let mut steps: Vec<LintStep> = Vec::with_capacity(capacity);
-        let mut fills: Vec<FillQuality> = Vec::with_capacity(filled.len());
-        let mut filled = filled.into_iter().map(|(fill, ..)| fill);
-        for (i, seg) in compacted.iter().enumerate() {
-            if i > 0 && seg.loss_before.is_some() {
-                if let Some(fill) = filled.next() {
-                    fills.push(FillQuality {
-                        hole: fills.len() + 1,
-                        origin: fill.entries.first().map(|e| e.origin),
-                        confidence: fill.confidence,
-                        entries: fill.entries.len(),
-                    });
-                    entries.extend(fill.entries);
-                    steps.extend(fill.steps);
-                }
-            }
-            debug_assert!(
-                seg.breaks.first() != Some(&0) && seg.breaks.windows(2).all(|w| w[0] < w[1]),
-                "projection breaks must be strictly ascending and never 0"
-            );
-            // Ascending seam cursor over `breaks`.
-            let mut seams = seg.breaks.iter().copied().peekable();
-            for (idx, (e, node)) in seg.events.iter().zip(&seg.nodes).enumerate() {
-                let (method, bci) = event_loc(&self.icfg, e, *node);
-                entries.push(TraceEntry {
-                    op: e.sym.op,
-                    method,
-                    bci,
-                    ts: e.ts,
-                    origin: TraceOrigin::Decoded,
-                });
-                // Segment starts are always seams (a hole or a fresh trace
-                // buffer precedes them, so events may be missing — lossy);
-                // within a segment, projection restarts (`breaks`) mark
-                // positions with no edge guarantee to their predecessor,
-                // but every hardware-observed event in between is present.
-                steps.push(LintStep {
-                    node: *node,
-                    op: e.sym.op,
-                    dir: e.sym.dir,
-                    boundary: idx == 0 || seams.next_if_eq(&idx).is_some(),
-                    lossy: idx == 0,
-                });
-            }
-        }
-
+        // The timeline: each fill right before the segment after its
+        // hole. Fill steps line up with fill entries, so this is both
+        // the entry and the lint step count.
+        let len = compacted.iter().map(|s| s.events.len()).sum::<usize>()
+            + fills.iter().map(|f| f.entries).sum::<usize>();
         let lint = if self.config.lint {
             // Lint breaks go under the reserved segment key so they sort
             // after every per-segment decision for the thread.
             let mut recorder = obs.journal_recorder(thread.0);
             recorder.set_segment(jportal_obs::journal::LINT_SEGMENT);
+            let steps = before.iter().zip(&compacted).flat_map(|(fill, seg)| {
+                let fill = fill.iter().flat_map(|f| f.steps.iter().copied());
+                fill.chain(seg.lint_steps())
+            });
             lint_steps_journaled(
                 self.program,
                 &self.icfg,
-                &steps,
+                steps,
+                len,
                 self.summaries.as_ref(),
                 obs,
                 &mut recorder,
@@ -887,6 +858,21 @@ impl<'p> JPortal<'p> {
                 .collect()
         });
 
+        // Emission consumes the segments; the first event buffer,
+        // rewritten in place, seeds the timeline.
+        let segments = compacted.len();
+        let mut entries: Vec<TraceEntry> = Vec::new();
+        for (fill, seg) in before.into_iter().zip(compacted) {
+            entries.extend(fill.into_iter().flat_map(|f| f.entries));
+            let decoded = seg.into_entries(&self.icfg);
+            if entries.is_empty() {
+                entries = decoded;
+                entries.reserve_exact(len - entries.len());
+            } else {
+                entries.extend(decoded);
+            }
+        }
+
         (
             ThreadReport {
                 thread,
@@ -894,12 +880,12 @@ impl<'p> JPortal<'p> {
                 holes,
                 projection,
                 recovery: recovery_stats,
-                segments: compacted.len(),
+                segments,
                 lint,
             },
             ThreadQuality { thread, fills },
             harvested,
-            recovery.map(|r| (r.anchor_inserts(), work)),
+            index,
         )
     }
 

@@ -29,24 +29,24 @@ pub struct ProjectionConfig {
     /// falls back to trying all candidate starts concretely (Algorithm 1's
     /// search space).
     pub use_abstraction: bool,
-    /// Only run the abstract filter when at least this many candidate
-    /// start states exist (tiny candidate sets are cheaper to try
-    /// concretely).
-    pub abstraction_threshold: usize,
-    /// Cap on how many symbols of the pending run the abstract filter
-    /// inspects (long runs reject quickly anyway).
-    pub abstraction_lookahead: usize,
 }
 
 impl Default for ProjectionConfig {
     fn default() -> ProjectionConfig {
         ProjectionConfig {
             use_abstraction: true,
-            abstraction_threshold: 4,
-            abstraction_lookahead: 64,
         }
     }
 }
+
+/// The abstract filter runs only when at least this many candidate
+/// start states exist (tiny candidate sets are cheaper to try
+/// concretely).
+const ABSTRACTION_THRESHOLD: usize = 4;
+
+/// Cap on how many symbols of the pending run the abstract filter
+/// inspects (long runs reject quickly anyway).
+const ABSTRACTION_LOOKAHEAD: usize = 64;
 
 /// A statistics struct's `(counter name, field)` table: the fields the
 /// pipeline mirrors into its telemetry registry.
@@ -214,9 +214,9 @@ pub fn project_segment_with(
             None => {
                 let candidates = nfa.start_candidates(sym0);
                 stats.candidates_tried += candidates.len();
-                if cfg.use_abstraction && candidates.len() >= cfg.abstraction_threshold {
+                if cfg.use_abstraction && candidates.len() >= ABSTRACTION_THRESHOLD {
                     stats.dfa_runs += 1;
-                    let lookahead_end = (i + cfg.abstraction_lookahead).min(events.len());
+                    let lookahead_end = (i + ABSTRACTION_LOOKAHEAD).min(events.len());
                     let window = &syms[i..lookahead_end];
                     let abs = jportal_cfg::tier::abstract_seq(window, jportal_cfg::Tier::Control);
                     let required = summaries.map(|_| required_window_ops(window));
@@ -425,7 +425,6 @@ mod tests {
             &events,
             &ProjectionConfig {
                 use_abstraction: false,
-                ..ProjectionConfig::default()
             },
         );
         assert_eq!(with.nodes, without.nodes, "same projection either way");

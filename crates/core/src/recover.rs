@@ -74,7 +74,60 @@ pub struct SegmentView {
 /// `(method, bci)` locations, projection seams.
 pub(crate) type HarvestSeg = (Vec<Sym>, Vec<u64>, Vec<u32>);
 
+// A decoded segment's event buffer is rewritten in place into its
+// trace entries (`SegmentView::into_entries`): the allocation is reused
+// only while both element types share one size and alignment.
+const _: () = assert!(
+    std::mem::size_of::<BcEvent>() == std::mem::size_of::<TraceEntry>()
+        && std::mem::align_of::<BcEvent>() == std::mem::align_of::<TraceEntry>()
+);
+
 impl SegmentView {
+    /// The linter's view of this segment, one step per event, read in
+    /// place. The segment start is a lossy seam (a hole or a fresh
+    /// trace buffer precedes it, so events may be missing); within the
+    /// segment, projection restarts (`breaks`) mark positions with no
+    /// edge guarantee to their predecessor, but every hardware-observed
+    /// event in between is present.
+    pub(crate) fn lint_steps(&self) -> impl Iterator<Item = LintStep> + '_ {
+        debug_assert!(
+            self.breaks.first() != Some(&0) && self.breaks.windows(2).all(|w| w[0] < w[1]),
+            "projection breaks must be strictly ascending and never 0"
+        );
+        // Ascending seam cursor over `breaks`.
+        let mut seams = self.breaks.iter().copied().peekable();
+        self.events
+            .iter()
+            .zip(&self.nodes)
+            .enumerate()
+            .map(move |(idx, (e, &node))| LintStep {
+                node,
+                op: e.sym.op,
+                dir: e.sym.dir,
+                boundary: idx == 0 || seams.next_if_eq(&idx).is_some(),
+                lossy: idx == 0,
+            })
+    }
+
+    /// This segment's decoded trace entries, written over its event
+    /// buffer.
+    pub(crate) fn into_entries(self, icfg: &Icfg) -> Vec<TraceEntry> {
+        self.events
+            .into_iter()
+            .zip(&self.nodes)
+            .map(|(e, &node)| {
+                let (method, bci) = event_loc(icfg, &e, node);
+                TraceEntry {
+                    op: e.sym.op,
+                    method,
+                    bci,
+                    ts: e.ts,
+                    origin: TraceOrigin::Decoded,
+                }
+            })
+            .collect()
+    }
+
     /// This segment as the persistent corpus stores it, locations
     /// resolved by [`event_loc`] exactly as emitted entries are, so a
     /// corpus splice reproduces what the in-run splice would emit.
@@ -263,19 +316,6 @@ impl RecoveryStats {
             0.0
         } else {
             self.pruned_tier2 as f64 / self.candidates as f64
-        }
-    }
-
-    /// Fraction of the raw candidate set rejected by the interprocedural
-    /// summary prefilter, over the *whole* set (survivors plus pruned) —
-    /// the denominator the tier rates never see. `0.0` when nothing was
-    /// considered.
-    pub fn summary_prune_rate(&self) -> f64 {
-        let total = self.candidates + self.summary_pruned;
-        if total == 0 {
-            0.0
-        } else {
-            self.summary_pruned as f64 / total as f64
         }
     }
 }
@@ -1753,6 +1793,21 @@ mod tests {
     use jportal_bytecode::Program;
 
     #[test]
+    fn segment_entries_reuse_the_event_buffer() {
+        let (_, icfg) = tiny_program();
+        let mut seg = seg_from_ops(&[OpKind::Iconst, OpKind::Pop, OpKind::Return]);
+        seg.nodes[1] = Some(icfg.node(MethodId(0), Bci(1)));
+        let buffer = seg.events.as_ptr() as usize;
+        let entries = seg.into_entries(&icfg);
+        assert_eq!(entries.as_ptr() as usize, buffer, "rewritten in place");
+        let locs: Vec<_> = entries.iter().map(|e| (e.method, e.bci)).collect();
+        assert_eq!(locs[0], (None, None));
+        assert_eq!(locs[1], (Some(MethodId(0)), Some(Bci(1))));
+        assert_eq!(entries[2].ts, 20);
+        assert!(entries.iter().all(|e| e.origin == TraceOrigin::Decoded));
+    }
+
+    #[test]
     fn indexed_segment_tiers() {
         let seg = IndexedSegment::new(&seg_from_ops(&[
             OpKind::Iload,
@@ -2110,7 +2165,7 @@ mod tests {
 
     #[test]
     fn seeded_fault_in_recovered_segment_is_linted() {
-        use jportal_analysis::{lint_steps, LintStep};
+        use jportal_analysis::{lint_steps_summarized, LintStep};
         let (p, icfg) = tiny_program();
         let entry = p.entry();
         let mut is = seg_from_ops(&[OpKind::Iconst]);
@@ -2132,14 +2187,14 @@ mod tests {
             steps
         };
         // The honest fill is feasible end to end.
-        assert!(lint_steps(&p, &icfg, &splice(&fill.steps)).is_empty());
+        assert!(lint_steps_summarized(&p, &icfg, splice(&fill.steps), None).is_empty());
 
         // Seeded fault: corrupt the recovered step to claim the walk
         // revisited bci 0 — no such ICFG edge exists, and the linter
         // must say so.
         let mut bad = fill.steps.clone();
         bad[0] = LintStep::at(icfg.node(entry, Bci(0)), OpKind::Iconst);
-        let diags = lint_steps(&p, &icfg, &splice(&bad));
+        let diags = lint_steps_summarized(&p, &icfg, splice(&bad), None);
         assert!(
             !diags.is_empty(),
             "corrupted recovered segment must produce a diagnostic"

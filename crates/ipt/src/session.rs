@@ -127,11 +127,6 @@ impl PtSession {
         self.drain_quantum = bytes;
     }
 
-    /// Number of cores.
-    pub fn core_count(&self) -> usize {
-        self.cores.len()
-    }
-
     /// Mutable access to a core's encoder.
     ///
     /// # Panics

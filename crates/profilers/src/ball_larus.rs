@@ -129,11 +129,6 @@ impl PathNumbering {
         }
     }
 
-    /// Value of the DAG edge `(from, to)` (0 when not numbered).
-    pub fn edge_value(&self, from: BlockId, to: BlockId) -> u64 {
-        self.edge_vals.get(&(from, to)).copied().unwrap_or(0)
-    }
-
     /// The back edges of the method.
     pub fn back_edges(&self) -> &[(BlockId, BlockId)] {
         &self.back_edges
